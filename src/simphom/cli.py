@@ -22,8 +22,10 @@ Commands run the checkers and computations::
 
 Each command prints one JSON object per line: ``command``, ``inputs``,
 then ``verdict``/``value`` with optional ``witness`` or ``counts``, and
-``elapsed_ms``.  A false verdict is a successful run; the exit status is
-nonzero only for script errors.
+``elapsed_ms``.  A false verdict is a successful run.  A script that
+cannot be read or parsed exits with status 2 before any command runs; a
+binding or command that fails, for any reason, becomes an object with an
+``error`` field, the remaining lines still run, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -455,12 +457,19 @@ def _run_command(stmt, env, options):
     raise AssertionError("unreachable command %r" % (kind,))
 
 
+def _error_text(exc):
+    """The ``error`` text of a failed line; unexpected failures name their type."""
+    if isinstance(exc, (ScriptError, ValueError, KeyError)):
+        return str(exc)
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
 def run(script, seed=0, max_degree=None, dump_hom=False):
     """Execute a parsed script; returns (results, ok).
 
-    ``results`` is one dict per command in order; command failures become
-    objects with an ``error`` field and make ``ok`` false (a false verdict
-    does not).
+    ``results`` is one dict per command in order; command failures, of
+    any exception type, become objects with an ``error`` field and make
+    ``ok`` false (a false verdict does not).
     """
     env = {}
     results = []
@@ -476,13 +485,13 @@ def run(script, seed=0, max_degree=None, dump_hom=False):
                         "name %r is already bound" % (name,), stmt.line, 1
                     )
                 env[name] = _build(expr, env, stmt)
-            except (ScriptError, ValueError, KeyError) as exc:
+            except Exception as exc:
                 ok = False
                 results.append(
                     {
                         "command": "set",
                         "inputs": {"name": name},
-                        "error": str(exc),
+                        "error": _error_text(exc),
                         "elapsed_ms": int((time.monotonic() - started) * 1000),
                     }
                 )
@@ -492,9 +501,9 @@ def run(script, seed=0, max_degree=None, dump_hom=False):
         try:
             body = _run_command(stmt, env, options)
             base.update(body)
-        except (ScriptError, ValueError, KeyError) as exc:
+        except Exception as exc:
             ok = False
-            base["error"] = str(exc)
+            base["error"] = _error_text(exc)
         base["elapsed_ms"] = int((time.monotonic() - started) * 1000)
         results.append(base)
     return results, ok

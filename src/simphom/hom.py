@@ -11,10 +11,13 @@ On top of the encoding this module provides:
 
 * exhaustive enumeration of the p-simplices for a finite target;
 * the simplicial structure (faces, degeneracies, reindexing along any
-  monotone map, in both grid directions);
-* degeneracy detection, both the generic retraction test and the cheap
-  column test (all horizontal edges over one column degenerate), which
-  agree exactly over regular targets;
+  monotone map, in both grid directions), each reindex following a plan
+  worked out once per shape: for every small path, the index of its
+  lifted path and the step map to pull back along;
+* degeneracy detection, both the generic retraction test (one reindex
+  per column, compared path by path and stopped at the first path that
+  differs) and the cheap column test (all horizontal edges over one
+  column degenerate), which agree exactly over regular targets;
 * the explicit witness construction that converts a degenerate column
   into an actual degeneracy witness, failing loudly on irregular targets;
 * dimension computation with the (n + 1) * dim X ceiling for regular
@@ -26,6 +29,7 @@ On top of the encoding this module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .delta import (
     MonotoneMap,
@@ -37,7 +41,7 @@ from .delta import (
 )
 from .paths import LatticePath, all_paths, flip_constraints, merged_split, path_index
 from .regularity import is_regular
-from .simpset import SimplicialSet, delta, is_isomorphic, subcomplex
+from .simpset import SimplicialSet, cell_simplex, delta, is_isomorphic, subcomplex
 
 
 class RegularityViolation(Exception):
@@ -199,24 +203,19 @@ def enumerate_hom_simplices(space, n, p):
 # Simplicial structure.
 # ---------------------------------------------------------------------------
 
-def hom_bireindex(f, theta, gamma):
-    """Reindex along theta in the simplex direction, gamma in the source.
+@lru_cache(maxsize=None)
+def _reindex_plan(theta, gamma):
+    """How to reindex any simplex of shape (theta.target, gamma.target).
 
-    Realises precomposition with (theta x gamma): the image of each small
-    path is filled to the unique maximal path through its points (free
-    segments at the ends take horizontal steps first), and the assigned
-    simplex is pulled back along the step reparameterisation.
+    One ``(lifted path index, psi)`` pair per path of the small grid: the
+    image of the small path is filled to the unique maximal path through
+    its points (free segments at the ends take horizontal steps first),
+    and ``psi`` is the step reparameterisation along which the simplex on
+    that lifted path is pulled back.
     """
-    if theta.target != f.width or gamma.target != f.height:
-        raise ValueError("reindexing maps do not match the simplex shape")
-    cache = f.space._hom_cache.setdefault("reindex", {})
-    key = (f, theta, gamma)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    p, n = f.width, f.height
+    p, n = theta.target, gamma.target
     index = path_index(p, n)
-    new_values = []
+    plan = []
     for small in all_paths(theta.source, gamma.source):
         pts = [(theta(x), gamma(y)) for (x, y) in small.points()]
         pieces = ["H" * pts[0][0] + "V" * pts[0][1]]
@@ -230,11 +229,27 @@ def hom_bireindex(f, theta, gamma):
             prev = pt
         pieces.append("H" * (p - prev[0]) + "V" * (n - prev[1]))
         lifted = "".join(pieces)
-        psi_map = MonotoneMap(theta.source + gamma.source, p + n, tuple(psi))
-        new_values.append(f.space.apply_map(psi_map, f.values[index[lifted]]))
-    out = HomSimplex(f.space, theta.source, gamma.source, tuple(new_values))
-    cache[key] = out
-    return out
+        plan.append(
+            (index[lifted], MonotoneMap(theta.source + gamma.source, p + n, tuple(psi)))
+        )
+    return tuple(plan)
+
+
+def hom_bireindex(f, theta, gamma):
+    """Reindex along theta in the simplex direction, gamma in the source.
+
+    Realises precomposition with (theta x gamma) by following the
+    per-shape plan of :func:`_reindex_plan`.
+    """
+    if theta.target != f.width or gamma.target != f.height:
+        raise ValueError("reindexing maps do not match the simplex shape")
+    apply_map, values = f.space.apply_map, f.values
+    return HomSimplex(
+        f.space,
+        theta.source,
+        gamma.source,
+        tuple(apply_map(psi, values[i]) for i, psi in _reindex_plan(theta, gamma)),
+    )
 
 
 def hom_reindex(f, theta):
@@ -273,10 +288,32 @@ def almost_degenerate_at(f, k):
     return all(edge_restriction(f, k, j).is_degenerate for j in range(f.height + 1))
 
 
+@lru_cache(maxsize=None)
+def _retraction_plan(k, p, n):
+    """The reindex plan along [p] -> [p] sending k to k + 1, fixing the rest."""
+    theta = compose_monotone(face_map(k, p), degeneracy_map(k, p - 1))
+    return _reindex_plan(theta, identity_map(n))
+
+
+def _retracts_at(f, k):
+    """Whether f equals the k-th degeneracy of its own k-th face.
+
+    By functoriality that composite is the reindex of f along the map
+    [p] -> [p] sending k to k + 1 and fixing everything else, so one
+    reindex suffices, compared path by path and abandoned at the first
+    path that differs.
+    """
+    apply_map, values = f.space.apply_map, f.values
+    for m, (i, psi) in enumerate(_retraction_plan(k, f.width, f.height)):
+        if apply_map(psi, values[i]) != values[m]:
+            return False
+    return True
+
+
 def is_degenerate_hom(f):
     """Generic retraction test: f equals some degeneracy of some face of f."""
     for k in range(f.width):
-        if hom_degeneracy(hom_face(f, k), k) == f:
+        if _retracts_at(f, k):
             return True
     return False
 
@@ -284,9 +321,8 @@ def is_degenerate_hom(f):
 def normalize_hom(f):
     """Split f as (collapse word, nondegenerate core)."""
     for k in range(f.width):
-        g = hom_face(f, k)
-        if hom_degeneracy(g, k) == f:
-            eps, core = normalize_hom(g)
+        if _retracts_at(f, k):
+            eps, core = normalize_hom(hom_face(f, k))
             return compose_monotone(eps, degeneracy_map(k, f.width - 1)), core
     return identity_map(f.width), f
 
@@ -475,17 +511,11 @@ def _staircase_witness(space, cell, n):
     for path in all_paths(p, n):
         chain = tuple(grid(i, j) for (i, j) in path.points())
         psi = MonotoneMap(p + n, q, chain)
-        values.append(space.apply_map(psi, _cell_simplex(cell)))
+        values.append(space.apply_map(psi, cell_simplex(cell)))
     f = HomSimplex(space, p, n, tuple(values))
     if any(almost_degenerate_at(f, k) for k in range(p)):
         raise AssertionError("staircase witness has a fully degenerate column")
     return f
-
-
-def _cell_simplex(cell):
-    from .simpset import cell_simplex
-
-    return cell_simplex(cell)
 
 
 def _exists_nondegenerate(space, n, p, target_is_regular):
@@ -647,7 +677,7 @@ def _component_degenerate(f, k):
     key = (f, k)
     hit = cache.get(key)
     if hit is None:
-        hit = hom_degeneracy(hom_face(f, k), k) == f
+        hit = _retracts_at(f, k)
         cache[key] = hit
     return hit
 

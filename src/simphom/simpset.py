@@ -29,6 +29,7 @@ from .delta import (
     epi_mono_factor,
     face_map,
     identity_map,
+    surjection_from_repeats,
     surjection_to_word,
     word_to_surjection,
 )
@@ -403,11 +404,6 @@ def _factor_through(f, gamma):
     return MonotoneMap(gamma.target, f.target, tuple(out))
 
 
-def _surjection_from_repeats(degree, repeats):
-    word = SurjectionWord(degree, tuple(sorted(repeats, reverse=True)))
-    return word_to_surjection(word)
-
-
 def _pair_name(fx, fy):
     return "(" + fx.token() + "|" + fy.token() + ")"
 
@@ -427,8 +423,8 @@ def product(a, b):
                 for ra in combinations(range(r), r - x.dim):
                     rest = [i for i in range(r) if i not in ra]
                     for rb in combinations(rest, r - y.dim):
-                        fx = FormalSimplex(_surjection_from_repeats(r, ra), x)
-                        fy = FormalSimplex(_surjection_from_repeats(r, rb), y)
+                        fx = FormalSimplex(surjection_from_repeats(r, ra), x)
+                        fy = FormalSimplex(surjection_from_repeats(r, rb), y)
                         c = CellId(r, _pair_name(fx, fy))
                         cells[c] = (fx, fy)
                         pair_of[(fx, fy)] = c
@@ -441,7 +437,7 @@ def product(a, b):
             u = a.apply_map(face_map(i, c.dim), fx)
             v = b.apply_map(face_map(i, c.dim), fy)
             common = set(u.epi.repeat_positions()) & set(v.epi.repeat_positions())
-            gamma = _surjection_from_repeats(c.dim - 1, common)
+            gamma = surjection_from_repeats(c.dim - 1, common)
             core = (
                 FormalSimplex(_factor_through(u.epi, gamma), u.generator),
                 FormalSimplex(_factor_through(v.epi, gamma), v.generator),
@@ -555,12 +551,6 @@ def is_isomorphic(a, b):
         return False
     order = list(a.cells)  # sorted by (dim, name); faces point downward
     targets = {d: list(b.cells_of_dim(d)) for d in set(dims_a)}
-
-    def signature(cell, mapping, space):
-        return tuple(
-            (fs.epi, mapping.get(fs.generator, fs.generator))
-            for fs in space.faces[cell]
-        )
 
     def matches(x, y, mapping):
         if x.dim != y.dim:

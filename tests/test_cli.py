@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from simphom import cli
 from simphom.cli import ScriptError, main, parse_script, run
 from simphom.simpset import delta, from_json_dict, is_isomorphic, quotient
 
@@ -240,6 +241,24 @@ class TestMain:
         path = self.write(tmp_path, "check regular Z\n")
         code = main([path])
         assert code == 1
+
+    def test_unexpected_exception_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "enumerate_hom_simplices", boom)
+        monkeypatch.setattr(cli, "boundary_delta", boom)
+        path = self.write(
+            tmp_path,
+            "set B = boundary 2\nset D = delta 1\nhomcount 1 1 target D\ndump D\n",
+        )
+        code = main([path])
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        assert [r["command"] for r in lines] == ["set", "homcount", "dump"]
+        assert lines[0]["error"] == "RuntimeError: boom"
+        assert lines[1]["error"] == "RuntimeError: boom"
+        assert "error" not in lines[2]
 
     def test_missing_file(self, capsys):
         code = main(["/nonexistent/script.txt"])

@@ -201,14 +201,39 @@ class TestDegeneracy:
                     if is_degenerate_hom(f):
                         assert any(almost_degenerate_at(f, k) for k in range(p))
 
+    def test_retraction_test_matches_face_then_degeneracy(self):
+        # the slow definition the one-reindex, early-exit test must equal
+        targets = [
+            delta(1),
+            boundary_delta(2),
+            quotient(delta(2), ["0,2"]),  # regular but not strongly so
+            collapsed_ball(2),  # irregular
+        ]
+        for space in targets:
+            for n in (1, 2):
+                for p in range(4):
+                    for f in enumerate_hom_simplices(space, n, p):
+                        slow = any(
+                            hom_degeneracy(hom_face(f, k), k) == f for k in range(p)
+                        )
+                        assert is_degenerate_hom(f) == slow
+
     def test_normalize_recomposes(self):
-        space = delta(1)
-        for p in range(1, 4):
+        for space in [delta(1), quotient(delta(2), ["0,2"]), collapsed_ball(2)]:
+            for p in range(1, 4):
+                for f in enumerate_hom_simplices(space, 1, p):
+                    eps, core = normalize_hom(f)
+                    assert not is_degenerate_hom(core)
+                    assert hom_reindex(core, eps) == f
+                    assert is_degenerate_hom(f) == (not eps.is_identity)
+
+    def test_retraction_caches_nothing_per_simplex(self):
+        space = delta(2)
+        for p in range(5):
             for f in enumerate_hom_simplices(space, 1, p):
-                eps, core = normalize_hom(f)
-                assert not is_degenerate_hom(core)
-                assert hom_reindex(core, eps) == f
-                assert is_degenerate_hom(f) == (not eps.is_identity)
+                is_degenerate_hom(f)
+                normalize_hom(f)
+        assert set(space._hom_cache) == {("enum", 1, p) for p in range(5)}
 
     def test_witness_reconstruction_over_regular_target(self):
         space = quotient(delta(2), ["0,2"])  # regular but not strongly so
