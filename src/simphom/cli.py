@@ -60,6 +60,7 @@ from .simpset import (
     quotient,
     subcomplex,
     to_json_dict,
+    transitive_closure,
     union,
 )
 
@@ -94,11 +95,10 @@ def _tokens(line):
 
 
 class _Cursor:
-    def __init__(self, tokens, lineno, length):
+    def __init__(self, tokens, lineno):
         self.tokens = tokens
         self.lineno = lineno
         self.pos = 0
-        self.length = length
 
     def error(self, message, at=None):
         if at is None:
@@ -281,7 +281,7 @@ def parse_script(text):
         if not line.strip():
             continue
         tokens = _tokens(line)
-        cur = _Cursor(tokens, lineno, len(line))
+        cur = _Cursor(tokens, lineno)
         if tokens[0][0] == "set":
             cur.pos = 1
             name, name_col = tokens[1] if len(tokens) > 1 else (None, 1)
@@ -296,19 +296,6 @@ def parse_script(text):
 # ---------------------------------------------------------------------------
 # Evaluation.
 # ---------------------------------------------------------------------------
-
-def _transitive_closure(pairs):
-    rel = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (x, y) in list(rel):
-            for (y2, z) in list(rel):
-                if y2 == y and (x, z) not in rel:
-                    rel.add((x, z))
-                    changed = True
-    return rel
-
 
 def _build(expr, env, stmt):
     head = expr[0]
@@ -332,7 +319,7 @@ def _build(expr, env, stmt):
     if head == "nerve":
         pairs, singles = expr[1], expr[2]
         carrier = sorted({x for pair in pairs for x in pair} | set(singles))
-        closed = _transitive_closure(pairs)
+        closed = transitive_closure(pairs)
         return nerve_poset(carrier, sorted(closed)), None
     raise AssertionError("unreachable constructor %r" % (head,))
 
@@ -464,7 +451,7 @@ def _error_text(exc):
     return "%s: %s" % (type(exc).__name__, exc)
 
 
-def run(script, seed=0, max_degree=None, dump_hom=False):
+def run(script, max_degree=None, dump_hom=False):
     """Execute a parsed script; returns (results, ok).
 
     ``results`` is one dict per command in order; command failures, of
@@ -474,7 +461,7 @@ def run(script, seed=0, max_degree=None, dump_hom=False):
     env = {}
     results = []
     ok = True
-    options = {"seed": seed, "max_degree": max_degree, "dump_hom": dump_hom}
+    options = {"max_degree": max_degree, "dump_hom": dump_hom}
     for stmt in script.statements:
         if stmt.kind == "set":
             name, expr = stmt.args
@@ -539,9 +526,6 @@ def main(argv=None):
         "--pretty", action="store_true", help="human-readable output instead of JSON"
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="seed for seeded constructions"
-    )
-    parser.add_argument(
         "--max-degree",
         type=int,
         default=None,
@@ -567,12 +551,7 @@ def main(argv=None):
     except ScriptError as exc:
         print("parse error: %s" % (exc,), file=sys.stderr)
         return 2
-    results, ok = run(
-        script,
-        seed=args.seed,
-        max_degree=args.max_degree,
-        dump_hom=args.dump_hom,
-    )
+    results, ok = run(script, max_degree=args.max_degree, dump_hom=args.dump_hom)
     if args.pretty:
         _render_pretty(results, sys.stdout)
     else:

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .delta import MonotoneMap, collapse_map, epi_mono_factor
-from .hom import HomSimplex, hom_simplex
+from .hom import HomSimplex, hom_simplex, staircase_table
 from .paths import all_paths
 from .simpset import (
     FormalSimplex,
@@ -37,6 +37,7 @@ from .simpset import (
     product,
     quotient,
     subcomplex,
+    transitive_closure,
     union,
 )
 
@@ -100,32 +101,13 @@ class LatticeFunction:
 def tight_simplex(n, q):
     """The extremal simplex of Hom(D^n, D^q) in degree (n + 1) * q.
 
-    Vertex values: the grid point (i, j) with i = k*q + a, 1 <= a <= q,
-    is sent to 0 below the anti-diagonal level n - k, to a on it, and to q
-    above it; the zero column sits at i = 0.  Consecutive columns always
-    differ, so the simplex is nondegenerate and realises the dimension
-    ceiling of the mapping space.
+    Vertex values are the staircase of :func:`simphom.hom.staircase_table`.
+    Consecutive columns always differ, so the simplex is nondegenerate and
+    realises the dimension ceiling of the mapping space.
     """
     if n < 0 or q < 1:
         raise ValueError("tight_simplex needs n >= 0 and q >= 1")
-    p = (n + 1) * q
-    cols = []
-    for i in range(p + 1):
-        if i == 0:
-            cols.append(tuple(0 for _ in range(n + 1)))
-            continue
-        k, a = divmod(i - 1, q)
-        a += 1
-        col = []
-        for j in range(n + 1):
-            if j < n - k:
-                col.append(0)
-            elif j == n - k:
-                col.append(a)
-            else:
-                col.append(q)
-        cols.append(tuple(col))
-    return LatticeFunction(p, n, q, tuple(cols))
+    return LatticeFunction((n + 1) * q, n, q, staircase_table(n, q))
 
 
 def _vertex_name(values):
@@ -370,15 +352,8 @@ def _random_poset(rng, size):
         for j in range(i + 1, size):
             if rng.random() < 0.4:
                 rel.add((i, j))
-    changed = True
-    while changed:
-        changed = False
-        for (x, y) in list(rel):
-            for (y2, z) in list(rel):
-                if y2 == y and (x, z) not in rel:
-                    rel.add((x, z))
-                    changed = True
-    return nerve_poset(names, [(names[i], names[j]) for (i, j) in sorted(rel)])
+    closed = transitive_closure(rel)
+    return nerve_poset(names, [(names[i], names[j]) for (i, j) in sorted(closed)])
 
 
 def _random_entry(rng, idx, size_budget):

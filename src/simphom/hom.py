@@ -9,7 +9,11 @@ interior point have equal faces at that point's index.
 
 On top of the encoding this module provides:
 
-* exhaustive enumeration of the p-simplices for a finite target;
+* exhaustive enumeration of the p-simplices for a finite target, by one
+  depth-first backtracking core over the lattice paths in lex order; it
+  keeps an explicit stack of candidate iterators, so no recursion grows
+  with the number of paths, and the regular probe and the family search
+  below run through it too;
 * the simplicial structure (faces, degeneracies, reindexing along any
   monotone map, in both grid directions), each reindex following a plan
   worked out once per shape: for every small path, the index of its
@@ -126,66 +130,89 @@ def validate_hom_simplex(f):
 # Enumeration.
 # ---------------------------------------------------------------------------
 
-def _iter_assignments(space, n, p, candidates):
-    """Yield compatible value tuples, in candidate order along lex paths.
+def _backtrack(size, pool, doomed=None):
+    """Yield every tuple of ``size`` slots that the pools can fill.
+
+    ``pool(m, assign)`` gives the candidates for slot m once slots
+    0 .. m - 1 of ``assign`` are set; ``doomed(m, assign)``, if given,
+    abandons the branch right after slot m is set.  Results come in
+    depth-first candidate order.  The search keeps one candidate iterator
+    per open slot on an explicit stack, so its depth is never bounded by
+    the interpreter's recursion limit.
+    """
+    if size == 0:
+        yield ()
+        return
+    assign = [None] * size
+    stack = [iter(pool(0, assign))]
+    while stack:
+        m = len(stack) - 1
+        for z in stack[m]:
+            assign[m] = z
+            if doomed is not None and doomed(m, assign):
+                continue
+            if m + 1 == size:
+                yield tuple(assign)
+                continue
+            stack.append(iter(pool(m + 1, assign)))
+            break
+        else:
+            stack.pop()
+
+
+def _linked(hits, checks, face):
+    """The candidates among ``hits`` whose faces match every (index, face) check."""
+    for z in hits:
+        for idx, want in checks:
+            if face(z, idx) != want:
+                break
+        else:
+            yield z
+
+
+def _path_pool(space, n, p, candidates):
+    """Candidate pools for the lattice paths of the (p, n) grid, in order.
 
     Each path beyond the first is linked to at least one earlier path by a
-    unit-square flip, so the constraint graph is swept connectedly; bucket
-    indexes on the constrained face keep the scan near output-linear.
+    unit-square flip, so the constraint graph is swept connectedly: the
+    first link picks one bucket of an index on the constrained face, which
+    keeps the scan near output-linear, and any further links filter it.
     """
-    paths = all_paths(p, n)
     links = flip_constraints(p, n)
-    npaths = len(paths)
+    face = space.face
     buckets = {}
 
-    def bucket(idx):
-        table = buckets.get(idx)
-        if table is None:
-            table = {}
-            for z in candidates:
-                table.setdefault(space.face(z, idx), []).append(z)
-            buckets[idx] = table
-        return table
-
-    assign = [None] * npaths
-
-    def rec(m):
-        if m == npaths:
-            yield tuple(assign)
-            return
+    def pool(m, assign):
         lk = links[m]
         if not lk:
-            pool = candidates
-        else:
-            m0, i0 = lk[0]
-            pool = bucket(i0).get(space.face(assign[m0], i0), ())
-        for z in pool:
-            ok = True
-            for mm, ii in lk[1:]:
-                if space.face(z, ii) != space.face(assign[mm], ii):
-                    ok = False
-                    break
-            if ok:
-                assign[m] = z
-                for out in rec(m + 1):
-                    yield out
-        assign[m] = None
+            return candidates
+        m0, i0 = lk[0]
+        table = buckets.get(i0)
+        if table is None:
+            table = buckets[i0] = {}
+            for z in candidates:
+                table.setdefault(face(z, i0), []).append(z)
+        hits = table.get(face(assign[m0], i0), ())
+        if len(lk) == 1 or not hits:
+            return hits
+        return _linked(hits, [(ii, face(assign[mm], ii)) for mm, ii in lk[1:]], face)
 
-    for out in rec(0):
-        yield out
+    return pool
 
 
 def iter_hom_simplices(space, n, p, prefer_large=False):
     """Stream the p-simplices of Hom(D^n, X) without caching.
 
-    With ``prefer_large`` the candidate order is reversed so assignments
-    built from high-dimensional generators come first; useful when probing
-    for a nondegenerate simplex.
+    Values are lexicographic in candidate order along the lex-ordered
+    paths.  With ``prefer_large`` the candidate order is reversed so
+    assignments built from high-dimensional generators come first; useful
+    when probing for a nondegenerate simplex.
     """
     candidates = space.simplices(p + n)
     if prefer_large:
         candidates = tuple(reversed(candidates))
-    for values in _iter_assignments(space, n, p, candidates):
+    pool = _path_pool(space, n, p, candidates)
+    for values in _backtrack(len(all_paths(p, n)), pool):
         yield HomSimplex(space, p, n, values)
 
 
@@ -397,29 +424,14 @@ def _probe_regular(space, n, p):
     as the last of them is assigned and every edge over the column turned
     out degenerate, no completion of the branch can be nondegenerate.
     """
-    paths = all_paths(p, n)
-    links = flip_constraints(p, n)
     index = path_index(p, n)
-    npaths = len(paths)
     canon = [
         [index["H" * k + "V" * j + "H" * (p - k) + "V" * (n - j)] for j in range(n + 1)]
         for k in range(p)
     ]
-    triggers = [[] for _ in range(npaths)]
+    triggers = [[] for _ in index]
     for k in range(p):
         triggers[max(canon[k])].append(k)
-    candidates = tuple(reversed(space.simplices(p + n)))
-    buckets = {}
-
-    def bucket(idx):
-        table = buckets.get(idx)
-        if table is None:
-            table = {}
-            for z in candidates:
-                table.setdefault(space.face(z, idx), []).append(z)
-            buckets[idx] = table
-        return table
-
     edge_memo = {}
 
     def edge_degenerate(z, position):
@@ -430,42 +442,15 @@ def _probe_regular(space, n, p):
             edge_memo[key] = hit
         return hit
 
-    assign = [None] * npaths
+    def doomed(m, assign):
+        for k in triggers[m]:
+            if all(edge_degenerate(assign[canon[k][j]], k + j) for j in range(n + 1)):
+                return True
+        return False
 
-    def rec(m):
-        if m == npaths:
-            return tuple(assign)
-        lk = links[m]
-        if not lk:
-            pool = candidates
-        else:
-            m0, i0 = lk[0]
-            pool = bucket(i0).get(space.face(assign[m0], i0), ())
-        for z in pool:
-            ok = True
-            for mm, ii in lk[1:]:
-                if space.face(z, ii) != space.face(assign[mm], ii):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[m] = z
-            doomed = False
-            for k in triggers[m]:
-                if all(
-                    edge_degenerate(assign[canon[k][j]], k + j)
-                    for j in range(n + 1)
-                ):
-                    doomed = True
-                    break
-            if not doomed:
-                got = rec(m + 1)
-                if got is not None:
-                    return got
-        assign[m] = None
-        return None
-
-    values = rec(0)
+    candidates = tuple(reversed(space.simplices(p + n)))
+    pool = _path_pool(space, n, p, candidates)
+    values = next(_backtrack(len(index), pool, doomed), None)
     if values is None:
         return None
     return HomSimplex(space, p, n, values)
@@ -485,31 +470,35 @@ def _embedded_top_cell(space):
     return None
 
 
-def _staircase_witness(space, cell, n):
-    """The extremal nondegenerate simplex of degree (n + 1) * q, written
-    into the standard simplex embedded as the faces of ``cell``.
+def staircase_table(n, q):
+    """Vertex values of the extremal staircase of degree (n + 1) * q.
 
-    Grid values: the column at i = k*q + a (1 <= a <= q) reads 0 below
-    level n - k, a on it, q above it; the zero column sits at i = 0.
-    Consecutive columns always differ at a level where the embedded edge
-    is nondegenerate, so no column of the result is fully degenerate.
+    ``table[i][j]`` is the value at the grid point (i, j): the column at
+    i = k*q + a (1 <= a <= q) reads 0 below level n - k, a on it, q above
+    it; the zero column sits at i = 0.  Consecutive columns always differ.
+    """
+    table = [(0,) * (n + 1)]
+    for i in range(1, (n + 1) * q + 1):
+        k, a = divmod(i - 1, q)
+        table.append(
+            tuple(0 if j < n - k else a + 1 if j == n - k else q for j in range(n + 1))
+        )
+    return tuple(table)
+
+
+def _staircase_witness(space, cell, n):
+    """The staircase of :func:`staircase_table`, written into the standard
+    simplex embedded as the faces of ``cell``.
+
+    Consecutive columns differ at a level where the embedded edge is
+    nondegenerate, so no column of the result is fully degenerate.
     """
     q = cell.dim
     p = (n + 1) * q
-
-    def grid(i, j):
-        if i == 0:
-            return 0
-        k, a = divmod(i - 1, q)
-        if j < n - k:
-            return 0
-        if j == n - k:
-            return a + 1
-        return q
-
+    table = staircase_table(n, q)
     values = []
     for path in all_paths(p, n):
-        chain = tuple(grid(i, j) for (i, j) in path.points())
+        chain = tuple(table[i][j] for (i, j) in path.points())
         psi = MonotoneMap(p + n, q, chain)
         values.append(space.apply_map(psi, cell_simplex(cell)))
     f = HomSimplex(space, p, n, tuple(values))
@@ -529,10 +518,6 @@ def _exists_nondegenerate(space, n, p, target_is_regular):
     irregular target a column hit is inconclusive, so every candidate is
     settled by the retraction test directly.
     """
-    if p == 0:
-        for _ in iter_hom_simplices(space, n, 0):
-            return True
-        return False
     if target_is_regular:
         f = _probe_regular(space, n, p)
         if f is None:
@@ -551,6 +536,14 @@ def _exists_nondegenerate(space, n, p, target_is_regular):
     return False
 
 
+def _regular_or_capped(space, degree_cap):
+    """Whether the target is regular; an irregular one needs a degree cap."""
+    regular = bool(is_regular(space))
+    if not regular and degree_cap is None:
+        raise ValueError("the target is not regular: an explicit degree cap is needed")
+    return regular
+
+
 def dim_hom(space, n, degree_cap=None):
     """Dimension of Hom(D^n, X).
 
@@ -561,7 +554,7 @@ def dim_hom(space, n, degree_cap=None):
     """
     if space.dim < 0:
         return HomDimension(-1, True)
-    regular = bool(is_regular(space))
+    regular = _regular_or_capped(space, degree_cap)
     if regular:
         start = (n + 1) * space.dim
         cell = _embedded_top_cell(space)
@@ -571,18 +564,12 @@ def dim_hom(space, n, degree_cap=None):
             # along subcomplex inclusion) and pair it with the ceiling.
             _staircase_witness(space, cell, n)
             return HomDimension(start, True)
-        for p in range(start, -1, -1):
-            if _exists_nondegenerate(space, n, p, target_is_regular=True):
-                return HomDimension(p, True)
-        return HomDimension(-1, True)
-    if degree_cap is None:
-        raise ValueError(
-            "the target is not regular: dimension needs an explicit degree cap"
-        )
-    for p in range(degree_cap, -1, -1):
-        if _exists_nondegenerate(space, n, p, target_is_regular=False):
-            return HomDimension(p, False)
-    return HomDimension(-1, False)
+    else:
+        start = degree_cap
+    for p in range(start, -1, -1):
+        if _exists_nondegenerate(space, n, p, regular):
+            return HomDimension(p, regular)
+    return HomDimension(-1, regular)
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +589,6 @@ class HomFamily:
 
     def value(self, cell):
         return self.values[self.cells.index(cell)]
-
-
-def _family_requirement(space, assigned, entry, p):
-    """What the restriction of a candidate must equal along one face."""
-    return hom_bireindex(assigned[entry.generator], identity_map(p), entry.epi)
 
 
 def _family_face_index(space, m, p):
@@ -641,30 +623,21 @@ def iter_hom_families(source, space, p):
     bucket of :func:`_family_face_index`.
     """
     cells = source.cells
-    assigned = {}
+    position = {u: i for i, u in enumerate(cells)}
+    ident = identity_map(p)
 
-    def rec(idx):
-        if idx == len(cells):
-            yield HomFamily(
-                source, space, p, cells, tuple(assigned[c] for c in cells)
-            )
-            return
-        u = cells[idx]
+    def pool(i, assign):
+        u = cells[i]
         if u.dim == 0:
-            pool = enumerate_hom_simplices(space, 0, p)
-        else:
-            required = tuple(
-                _family_requirement(space, assigned, entry, p)
-                for entry in source.faces[u]
-            )
-            pool = _family_face_index(space, u.dim, p).get(required, ())
-        for cand in pool:
-            assigned[u] = cand
-            for fam in rec(idx + 1):
-                yield fam
-        assigned.pop(u, None)
+            return enumerate_hom_simplices(space, 0, p)
+        required = tuple(
+            hom_bireindex(assign[position[entry.generator]], ident, entry.epi)
+            for entry in source.faces[u]
+        )
+        return _family_face_index(space, u.dim, p).get(required, ())
 
-    return rec(0)
+    for values in _backtrack(len(cells), pool):
+        yield HomFamily(source, space, p, cells, values)
 
 
 def hom_general(source, space, p):
@@ -710,16 +683,10 @@ def dim_hom_general(source, space, degree_cap=None):
     """
     if space.dim < 0:
         return HomDimension(0 if not source.cells else -1, True)
-    regular = bool(is_regular(space))
+    regular = _regular_or_capped(space, degree_cap)
     if regular:
-        start = 0
-        for u in source.cells:
-            start += dim_hom(space, u.dim).value
+        start = sum(dim_hom(space, u.dim).value for u in source.cells)
     else:
-        if degree_cap is None:
-            raise ValueError(
-                "the target is not regular: dimension needs an explicit degree cap"
-            )
         start = degree_cap
     for p in range(start, -1, -1):
         for family in iter_hom_families(source, space, p):
@@ -744,21 +711,17 @@ def hom_complex(space, n, degree_cap=None):
     """
     from .simpset import CellId, FormalSimplex
 
-    regular = bool(is_regular(space))
-    if regular:
-        top = (n + 1) * space.dim if space.dim >= 0 else -1
-    else:
-        if degree_cap is None:
-            raise ValueError("the target is not regular: assembly needs a degree cap")
-        top = degree_cap
+    if _regular_or_capped(space, degree_cap):
+        # an empty target gives a negative top, so no degree is listed
+        top = (n + 1) * space.dim
 
-    if regular:
         # over a regular target, degeneracy is equivalent to having a fully
         # degenerate column, which is far cheaper to read off
         def degenerate(f):
             return any(almost_degenerate_at(f, k) for k in range(f.width))
 
     else:
+        top = degree_cap
         degenerate = is_degenerate_hom
 
     by_degree = {}

@@ -447,6 +447,20 @@ def product(a, b):
     return SimplicialSet(cells.keys(), faces)
 
 
+def transitive_closure(pairs):
+    """The smallest transitive relation containing the given pairs, as a set."""
+    rel = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (x, y) in list(rel):
+            for (y2, z) in list(rel):
+                if y2 == y and (x, z) not in rel:
+                    rel.add((x, z))
+                    changed = True
+    return rel
+
+
 def nerve_poset(carrier, strictly_below):
     """The nerve of a finite poset: cells are the strictly increasing chains.
 

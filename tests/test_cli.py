@@ -118,6 +118,13 @@ class TestExecution:
         assert ok
         assert results[0]["value"] == "≥ 8"
 
+    def test_homcount_over_more_paths_than_the_recursion_limit(self):
+        results, ok = run_text("set P = delta 0\nhomcount 2 44 target P\n")
+        assert ok
+        (res,) = results
+        assert "error" not in res
+        assert res["counts"]["total"] == 1
+
     def test_homdim_needs_cap_on_irregular(self):
         results, ok = run_text(
             "set I = delta 1\n"

@@ -27,12 +27,14 @@ from simphom.hom import (
     hom_source_reindex,
     is_degenerate_family,
     is_degenerate_hom,
+    iter_hom_families,
     iter_hom_simplices,
     lemma4_witness,
     normalize_hom,
     theorem1bis_bound,
     validate_hom_simplex,
 )
+from simphom.oracle import count_monotone_lattice_maps
 from simphom.paths import all_paths, split_path_at_column
 from simphom.simpset import (
     SimplicialSet,
@@ -115,6 +117,11 @@ class TestEnumeration:
     def test_empty_target(self):
         void = SimplicialSet([], {})
         assert enumerate_hom_simplices(void, 1, 0) == ()
+
+    def test_more_paths_than_the_recursion_limit(self):
+        # 1035 lattice paths: the search depth must not follow the path count
+        got = enumerate_hom_simplices(delta(0), 2, 44)
+        assert len(got) == count_monotone_lattice_maps(44, 2, 0) == 1
 
 
 class TestReindexing:
@@ -368,3 +375,10 @@ class TestGeneralSource:
         assert dim_hom_general(delta(0), delta(2)) == HomDimension(2, True)
         got = dim_hom_general(delta(0), collapsed_ball(2), degree_cap=2)
         assert not got.exact and got.value == 2
+
+    def test_source_with_more_cells_than_the_recursion_limit(self):
+        # delta(10) has 2047 cells, one search slot each
+        source = delta(10)
+        assert len(list(iter_hom_families(source, delta(0), 0))) == 1
+        # one vertex of Hom(D^10, D^1) per monotone map [10] -> [1]
+        assert len(hom_general(source, delta(1), 0)) == 12

@@ -1,7 +1,11 @@
 """Independent counting routes and their agreement with the path engine."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import simphom.oracle
 from simphom.hom import enumerate_hom_simplices
 from simphom.oracle import (
     OracleBudgetExceeded,
@@ -10,6 +14,19 @@ from simphom.oracle import (
     count_simplicial_maps,
 )
 from simphom.simpset import boundary_delta, delta, horn, product, quotient
+
+
+def test_oracle_does_not_import_the_engine():
+    # the oracle is the slow cross-check of hom, so it must not share its code
+    tree = ast.parse(Path(simphom.oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any(name.split(".")[-1] == "hom" for name in imported), imported
 
 
 class TestLatticeCounts:
