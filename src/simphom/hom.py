@@ -13,7 +13,10 @@ On top of the encoding this module provides:
   depth-first backtracking core over the lattice paths in lex order; it
   keeps an explicit stack of candidate iterators, so no recursion grows
   with the number of paths, and the regular probe and the family search
-  below run through it too;
+  below run through it too.  Enumeration and the regular probe search on
+  integer positions in the target's list of (p + n)-simplices: a flip
+  check compares two entries of the target's integer face table, and
+  each result is turned back into target simplices once;
 * the simplicial structure (faces, degeneracies, reindexing along any
   monotone map, in both grid directions), each reindex following a plan
   worked out once per shape: for every small path, the index of its
@@ -160,11 +163,12 @@ def _backtrack(size, pool, doomed=None):
             stack.pop()
 
 
-def _linked(hits, checks, face):
-    """The candidates among ``hits`` whose faces match every (index, face) check."""
+def _linked(hits, checks, faces):
+    """The positions among ``hits`` whose faces match every (index, face) check."""
     for z in hits:
+        row = faces[z]
         for idx, want in checks:
-            if face(z, idx) != want:
+            if row[idx] != want:
                 break
         else:
             yield z
@@ -173,13 +177,17 @@ def _linked(hits, checks, face):
 def _path_pool(space, n, p, candidates):
     """Candidate pools for the lattice paths of the (p, n) grid, in order.
 
-    Each path beyond the first is linked to at least one earlier path by a
-    unit-square flip, so the constraint graph is swept connectedly: the
-    first link picks one bucket of an index on the constrained face, which
-    keeps the scan near output-linear, and any further links filter it.
+    Candidates are positions in ``space.simplices(p + n)`` and faces are
+    read off :meth:`~simphom.simpset.SimplicialSet.face_table`, so every
+    flip check compares two integers.  Each path beyond the first is
+    linked to at least one earlier path by a unit-square flip, so the
+    constraint graph is swept connectedly: the first link picks one bucket
+    of an index on the constrained face, which keeps the scan near
+    output-linear, and any further links filter it.
     """
     links = flip_constraints(p, n)
-    face = space.face
+    # in degree 0 there is a single path, so no face is ever looked up
+    faces = space.face_table(p + n) if p + n else ()
     buckets = {}
 
     def pool(m, assign):
@@ -191,11 +199,11 @@ def _path_pool(space, n, p, candidates):
         if table is None:
             table = buckets[i0] = {}
             for z in candidates:
-                table.setdefault(face(z, i0), []).append(z)
-        hits = table.get(face(assign[m0], i0), ())
+                table.setdefault(faces[z][i0], []).append(z)
+        hits = table.get(faces[assign[m0]][i0], ())
         if len(lk) == 1 or not hits:
             return hits
-        return _linked(hits, [(ii, face(assign[mm], ii)) for mm, ii in lk[1:]], face)
+        return _linked(hits, [(ii, faces[assign[mm]][ii]) for mm, ii in lk[1:]], faces)
 
     return pool
 
@@ -208,12 +216,13 @@ def iter_hom_simplices(space, n, p, prefer_large=False):
     assignments built from high-dimensional generators come first; useful
     when probing for a nondegenerate simplex.
     """
-    candidates = space.simplices(p + n)
+    simplices = space.simplices(p + n)
+    candidates = range(len(simplices))
     if prefer_large:
-        candidates = tuple(reversed(candidates))
+        candidates = candidates[::-1]
     pool = _path_pool(space, n, p, candidates)
-    for values in _backtrack(len(all_paths(p, n)), pool):
-        yield HomSimplex(space, p, n, values)
+    for positions in _backtrack(len(all_paths(p, n)), pool):
+        yield HomSimplex(space, p, n, tuple(simplices[z] for z in positions))
 
 
 def enumerate_hom_simplices(space, n, p):
@@ -346,12 +355,21 @@ def is_degenerate_hom(f):
 
 
 def normalize_hom(f):
-    """Split f as (collapse word, nondegenerate core)."""
-    for k in range(f.width):
-        if _retracts_at(f, k):
-            eps, core = normalize_hom(hom_face(f, k))
-            return compose_monotone(eps, degeneracy_map(k, f.width - 1)), core
-    return identity_map(f.width), f
+    """Split f as (collapse word, nondegenerate core).
+
+    Splits off one degeneracy at a time, always at the first column where
+    the current simplex retracts, in a loop rather than by recursion, so
+    no width is too large.
+    """
+    eps = identity_map(f.width)
+    while True:
+        for k in range(f.width):
+            if _retracts_at(f, k):
+                f = hom_face(f, k)
+                eps = compose_monotone(degeneracy_map(k, f.width), eps)
+                break
+        else:
+            return eps, f
 
 
 def lemma4_witness(space, f, k):
@@ -432,13 +450,14 @@ def _probe_regular(space, n, p):
     triggers = [[] for _ in index]
     for k in range(p):
         triggers[max(canon[k])].append(k)
+    simplices = space.simplices(p + n)
     edge_memo = {}
 
-    def edge_degenerate(z, position):
-        key = (z, position)
+    def edge_degenerate(z, start):
+        key = (z, start)
         hit = edge_memo.get(key)
         if hit is None:
-            hit = space.apply_map(edge_map(position, 1, p + n), z).is_degenerate
+            hit = space.apply_map(edge_map(start, 1, p + n), simplices[z]).is_degenerate
             edge_memo[key] = hit
         return hit
 
@@ -448,12 +467,11 @@ def _probe_regular(space, n, p):
                 return True
         return False
 
-    candidates = tuple(reversed(space.simplices(p + n)))
-    pool = _path_pool(space, n, p, candidates)
-    values = next(_backtrack(len(index), pool, doomed), None)
-    if values is None:
+    pool = _path_pool(space, n, p, range(len(simplices))[::-1])
+    positions = next(_backtrack(len(index), pool, doomed), None)
+    if positions is None:
         return None
-    return HomSimplex(space, p, n, values)
+    return HomSimplex(space, p, n, tuple(simplices[z] for z in positions))
 
 
 def _embedded_top_cell(space):

@@ -40,8 +40,11 @@ def count_simplicial_maps(domain, target, node_budget=2_000_000):
     equation between target simplices.  Two prunings keep the search near
     the solution count: candidates for a cell are looked up by their first
     constrained face, and as soon as the last generator below a cell is
-    assigned, the cell's candidate pool is checked for nonemptiness (the
-    check is memoised on the required face values).
+    assigned, the cell's candidate pool is checked for nonemptiness.  Pools
+    are memoised on the degree and the full tuple of required faces, so the
+    pool that passed the check is the one the cell later draws from.  The
+    search keeps one candidate iterator per assigned cell on an explicit
+    stack, so its depth is never bounded by the recursion limit.
     """
     cells = domain.cells
     order_pos = {c: t for t, c in enumerate(cells)}
@@ -70,55 +73,58 @@ def count_simplicial_maps(domain, target, node_budget=2_000_000):
             for fs in domain.faces[w]
         )
 
+    pools = {}
+
     def pool_for(degree, required):
-        if not required:
-            return target.simplices(degree)
-        head = bucket(degree).get(required[0], ())
-        if len(required) == 1:
-            return head
-        out = []
-        for z in head:
-            if all(
-                target.face(z, i) == required[i]
-                for i in range(1, len(required))
-            ):
-                out.append(z)
-        return out
-
-    feasible_memo = {}
-
-    def feasible(w, required):
-        key = (w, required)
-        hit = feasible_memo.get(key)
+        key = (degree, required)
+        hit = pools.get(key)
         if hit is None:
-            hit = bool(pool_for(w.dim, required))
-            feasible_memo[key] = hit
+            if not required:
+                hit = target.simplices(degree)
+            else:
+                hit = [
+                    z
+                    for z in bucket(degree).get(required[0], ())
+                    if all(
+                        target.face(z, i) == required[i]
+                        for i in range(1, len(required))
+                    )
+                ]
+            pools[key] = hit
         return hit
 
     assigned = {}
-    budget = [node_budget]
 
-    def rec(t):
-        if t == len(cells):
-            return 1
+    def candidates(t):
         c = cells[t]
-        total = 0
-        for z in pool_for(c.dim, required_faces(c, assigned)):
-            budget[0] -= 1
-            if budget[0] < 0:
+        return iter(pool_for(c.dim, required_faces(c, assigned)))
+
+    if not cells:
+        return 1
+    budget = node_budget
+    total = 0
+    stack = [candidates(0)]
+    while stack:
+        t = len(stack) - 1
+        c = cells[t]
+        for z in stack[t]:
+            budget -= 1
+            if budget < 0:
                 raise OracleBudgetExceeded(node_budget)
             assigned[c] = z
-            ok = True
-            for w in watchers[t]:
-                if not feasible(w, required_faces(w, assigned)):
-                    ok = False
-                    break
-            if ok:
-                total += rec(t + 1)
-        assigned.pop(c, None)
-        return total
-
-    return rec(0)
+            if not all(
+                pool_for(w.dim, required_faces(w, assigned)) for w in watchers[t]
+            ):
+                continue
+            if t + 1 == len(cells):
+                total += 1
+                continue
+            stack.append(candidates(t + 1))
+            break
+        else:
+            stack.pop()
+            assigned.pop(c, None)
+    return total
 
 
 def brute_force_hom_count(source, target, width, node_budget=2_000_000):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 
 @dataclass(frozen=True, order=True)
@@ -67,20 +68,19 @@ class LatticePath:
 
 @lru_cache(maxsize=None)
 def all_paths(width, height):
-    """All maximal paths, in lexicographic order of the step word (H < V)."""
-    words = []
+    """All maximal paths, in lexicographic order of the step word (H < V).
 
-    def emit(prefix, h, v):
-        if h == width and v == height:
-            words.append(prefix)
-            return
-        if h < width:
-            emit(prefix + "H", h + 1, v)
-        if v < height:
-            emit(prefix + "V", h, v + 1)
-
-    emit("", 0, 0)
-    return tuple(LatticePath(width, height, w) for w in words)
+    Two words first differ where one steps H and the other V, so the lex
+    order of the words is the lex order of their sets of H positions,
+    which is the order ``combinations`` yields them in.
+    """
+    out = []
+    for horizontal in combinations(range(width + height), width):
+        word = ["V"] * (width + height)
+        for s in horizontal:
+            word[s] = "H"
+        out.append(LatticePath(width, height, "".join(word)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,8 @@ such a pair, and the pair is unique; the contravariant action of an
 arbitrary monotone map is computed by :meth:`SimplicialSet.apply_map`,
 which re-normalises after pushing injections through the face table one
 step at a time.
+For searches, :meth:`SimplicialSet.face_table` gives the faces of all
+simplices of one degree as positions in the list of the degree below.
 
 All constructors validate the simplicial identities eagerly, so a
 ``SimplicialSet`` that exists is consistent.  Instances are immutable
@@ -127,6 +129,7 @@ class SimplicialSet:
         self._faces = table
         self._apply_cache = {}
         self._simplex_cache = {}
+        self._face_tables = {}
         self._hom_cache = {}
         if validate:
             self._check_simplicial_identities()
@@ -228,6 +231,43 @@ class SimplicialSet:
             cached = tuple(out)
             self._simplex_cache[degree] = cached
         return cached
+
+    def face_table(self, degree):
+        """The faces of every simplex of a degree >= 1, as integer positions.
+
+        Entry ``[k][i]`` is the position in ``simplices(degree - 1)`` of the
+        i-th face of ``simplices(degree)[k]``.  It is read off the value
+        tuple v of the collapse and the cell's face table, never through
+        :meth:`apply_map`: dropping position i leaves the same cell when
+        v[i] is repeated on either side, and otherwise lands on the cell's
+        v[i]-th face entry, pulled back along the shifted tuple.
+        """
+        table = self._face_tables.get(degree)
+        if table is None:
+            if degree < 1:
+                raise ValueError("simplices of degree %d have no faces" % (degree,))
+            position = {
+                (x.generator.name, x.epi.values): k
+                for k, x in enumerate(self.simplices(degree - 1))
+            }
+            rows = []
+            for x in self.simplices(degree):
+                v, cell = x.epi.values, x.generator
+                row = []
+                for i in range(degree + 1):
+                    w = v[:i] + v[i + 1:]
+                    j = v[i]
+                    if (i and v[i - 1] == j) or (i < degree and v[i + 1] == j):
+                        row.append(position[cell.name, w])
+                    else:
+                        y = self._faces[cell][j]
+                        e = y.epi.values
+                        pulled = tuple(e[u if u < j else u - 1] for u in w)
+                        row.append(position[y.generator.name, pulled])
+                rows.append(tuple(row))
+            table = tuple(rows)
+            self._face_tables[degree] = table
+        return table
 
     # -- validation -----------------------------------------------------------
 

@@ -114,6 +114,20 @@ class TestEnumeration:
         first = next(iter(iter_hom_simplices(space, 1, 1, prefer_large=True)))
         assert first.values[0].generator.dim == 2
 
+    def test_prefer_large_order_is_frozen(self):
+        # the first simplices of the reversed candidate order, as recorded
+        # before the search moved to integer positions
+        space = quotient(delta(2), ["0,2"])
+        got = [
+            [v.token() for v in f.values]
+            for _, f in zip(range(3), iter_hom_simplices(space, 1, 2, prefer_large=True))
+        ]
+        assert got == [
+            ["s2:0,1,2", "s2:0,1,2", "s2:0,1,2"],
+            ["s2:0,1,2", "s2:0,1,2", "s2s1s0:*"],
+            ["s2:0,1,2", "s1:0,1,2", "s1:0,1,2"],
+        ]
+
     def test_empty_target(self):
         void = SimplicialSet([], {})
         assert enumerate_hom_simplices(void, 1, 0) == ()
@@ -122,6 +136,11 @@ class TestEnumeration:
         # 1035 lattice paths: the search depth must not follow the path count
         got = enumerate_hom_simplices(delta(0), 2, 44)
         assert len(got) == count_monotone_lattice_maps(44, 2, 0) == 1
+
+    def test_path_longer_than_the_recursion_limit(self):
+        # one path of 1100 steps: building the path list must not recurse per step
+        got = enumerate_hom_simplices(delta(0), 0, 1100)
+        assert len(got) == 1
 
 
 class TestReindexing:
@@ -233,6 +252,12 @@ class TestDegeneracy:
                     assert not is_degenerate_hom(core)
                     assert hom_reindex(core, eps) == f
                     assert is_degenerate_hom(f) == (not eps.is_identity)
+
+    def test_normalize_splits_more_degeneracies_than_the_recursion_limit(self):
+        (f,) = enumerate_hom_simplices(delta(0), 0, 1100)
+        eps, core = normalize_hom(f)
+        assert core.width == 0
+        assert hom_reindex(core, eps) == f
 
     def test_retraction_caches_nothing_per_simplex(self):
         space = delta(2)

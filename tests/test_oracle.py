@@ -70,6 +70,10 @@ class TestBruteForce:
         # of the three vertices, extended uniquely over each edge
         assert count_simplicial_maps(boundary_delta(2), delta(1)) == 4
 
+    def test_domain_with_more_cells_than_the_recursion_limit(self):
+        # delta(9) x delta(0) has 1023 cells, one search level each
+        assert brute_force_hom_count(delta(0), delta(0), 9) == 1
+
     def test_budget_exhaustion(self):
         with pytest.raises(OracleBudgetExceeded):
             count_simplicial_maps(product(delta(2), delta(2)), delta(2), node_budget=10)

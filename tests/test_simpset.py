@@ -12,6 +12,7 @@ from simphom.delta import (
     identity_map,
     surjection_from_repeats,
 )
+from simphom.exhibits import corpus
 from simphom.oracle import count_monotone_lattice_maps
 from simphom.simpset import (
     CellId,
@@ -236,3 +237,25 @@ class TestIsomorphism:
         right = quotient(delta(2), ["0,2"])
         assert [c.dim for c in left.cells] == [c.dim for c in right.cells]
         assert is_isomorphic(left, right) == is_isomorphic(right, left)
+
+
+class TestFaceTable:
+    def test_entries_are_the_positions_of_the_faces(self):
+        # the slow route through face/apply_map is the reference
+        landmarks = [e.space for e in corpus()]
+        seeded = [e.space for e in corpus(seed=3, count=len(landmarks) + 8)[len(landmarks):]]
+        spaces = landmarks + seeded + [
+            product(horn(2, 1), delta(1)),
+            quotient(boundary_delta(3), ["0,1"]),
+        ]
+        for space in spaces:
+            for d in range(1, 7):
+                below = {z: k for k, z in enumerate(space.simplices(d - 1))}
+                table = space.face_table(d)
+                assert len(table) == len(space.simplices(d))
+                for z, row in zip(space.simplices(d), table):
+                    assert row == tuple(below[space.face(z, i)] for i in range(d + 1))
+
+    def test_degree_zero_has_no_faces(self):
+        with pytest.raises(ValueError):
+            delta(1).face_table(0)
