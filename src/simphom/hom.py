@@ -9,8 +9,8 @@ interior point have equal faces at that point's index.
 
 On top of the encoding this module provides:
 
-* exhaustive enumeration of the p-simplices for a finite target, by one
-  depth-first backtracking core over the lattice paths in lex order; it
+* exhaustive enumeration of the p-simplices for a finite target, by the
+  backtracking core ``simpset._backtrack`` over the lex-ordered paths; it
   keeps an explicit stack of candidate iterators, so no recursion grows
   with the number of paths, and the regular probe and the family search
   below run through it too.  Enumeration and the regular probe search on
@@ -31,6 +31,12 @@ On top of the encoding this module provides:
   targets and honest lower bounds otherwise;
 * mapping spaces out of an arbitrary finite source, as compatible
   families over its cells, with the additive dimension bound.
+
+Computing Hom(U, X) leaves X as it was.  Every memo of a search is a local
+of the call that fills it: face buckets and edge verdicts per search, face
+indices per family search, degeneracy verdicts per degree of
+:func:`dim_hom_general`.  Only the reindex plans outlive a call, in one
+process-wide ``lru_cache`` entry per grid shape ever reindexed.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .delta import (
 )
 from .paths import LatticePath, all_paths, flip_constraints, merged_split, path_index
 from .regularity import is_regular
-from .simpset import SimplicialSet, cell_simplex, delta, is_isomorphic, subcomplex
+from .simpset import SimplicialSet, _backtrack, cell_simplex, subcomplex
 
 
 class RegularityViolation(Exception):
@@ -106,62 +112,25 @@ def hom_simplex(space, width, height, assignment, validate=True):
         values.append(fs)
     f = HomSimplex(space, width, height, tuple(values))
     if validate:
-        _check_compatibility(f)
+        validate_hom_simplex(f)
     return f
-
-
-def _check_compatibility(f):
-    links = flip_constraints(f.width, f.height)
-    for m, lk in enumerate(links):
-        for m_prev, idx in lk:
-            left = f.space.face(f.values[m], idx)
-            right = f.space.face(f.values[m_prev], idx)
-            if left != right:
-                raise ValueError(
-                    "incompatible assignment: paths %d and %d disagree at face %d"
-                    % (m, m_prev, idx)
-                )
 
 
 def validate_hom_simplex(f):
     """Re-run the unit-square compatibility checks on an existing simplex."""
-    _check_compatibility(f)
+    for m, lk in enumerate(flip_constraints(f.width, f.height)):
+        for m_prev, idx in lk:
+            if f.space.face(f.values[m], idx) != f.space.face(f.values[m_prev], idx):
+                raise ValueError(
+                    "incompatible assignment: paths %d and %d disagree at face %d"
+                    % (m, m_prev, idx)
+                )
     return True
 
 
 # ---------------------------------------------------------------------------
 # Enumeration.
 # ---------------------------------------------------------------------------
-
-def _backtrack(size, pool, doomed=None):
-    """Yield every tuple of ``size`` slots that the pools can fill.
-
-    ``pool(m, assign)`` gives the candidates for slot m once slots
-    0 .. m - 1 of ``assign`` are set; ``doomed(m, assign)``, if given,
-    abandons the branch right after slot m is set.  Results come in
-    depth-first candidate order.  The search keeps one candidate iterator
-    per open slot on an explicit stack, so its depth is never bounded by
-    the interpreter's recursion limit.
-    """
-    if size == 0:
-        yield ()
-        return
-    assign = [None] * size
-    stack = [iter(pool(0, assign))]
-    while stack:
-        m = len(stack) - 1
-        for z in stack[m]:
-            assign[m] = z
-            if doomed is not None and doomed(m, assign):
-                continue
-            if m + 1 == size:
-                yield tuple(assign)
-                continue
-            stack.append(iter(pool(m + 1, assign)))
-            break
-        else:
-            stack.pop()
-
 
 def _linked(hits, checks, faces):
     """The positions among ``hits`` whose faces match every (index, face) check."""
@@ -214,8 +183,12 @@ def iter_hom_simplices(space, n, p, prefer_large=False):
     Values are lexicographic in candidate order along the lex-ordered
     paths.  With ``prefer_large`` the candidate order is reversed so
     assignments built from high-dimensional generators come first; useful
-    when probing for a nondegenerate simplex.
+    when probing for a nondegenerate simplex.  A negative n or p raises
+    ``ValueError`` when the stream starts.
     """
+    for name, value in (("n", n), ("p", p)):
+        if value < 0:
+            raise ValueError("%s must be non-negative, got %d" % (name, value))
     simplices = space.simplices(p + n)
     candidates = range(len(simplices))
     if prefer_large:
@@ -227,12 +200,7 @@ def iter_hom_simplices(space, n, p, prefer_large=False):
 
 def enumerate_hom_simplices(space, n, p):
     """All p-simplices of Hom(D^n, X), lexicographic in the path values."""
-    key = ("enum", n, p)
-    cached = space._hom_cache.get(key)
-    if cached is None:
-        cached = tuple(iter_hom_simplices(space, n, p))
-        space._hom_cache[key] = cached
-    return cached
+    return tuple(iter_hom_simplices(space, n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +443,18 @@ def _probe_regular(space, n, p):
 
 
 def _embedded_top_cell(space):
-    """A top-dimensional cell generating a standard-simplex subcomplex."""
+    """A top-dimensional cell generating a standard-simplex subcomplex.
+
+    A q-cell c qualifies exactly when it generates 2 ** (q + 1) - 1 cells:
+    S |-> (generator of the face of c on the vertex set S) maps the
+    nonempty S onto those cells, so equal counts make it a bijection, and
+    a degenerate face would share its generator with a smaller face.
+    """
     q = space.dim
-    want = 2 ** (q + 1) - 1
-    model = delta(q)
     for c in reversed(space.cells):
         if c.dim != q:
             break
-        sub = subcomplex(space, [c])
-        if len(sub.cells) == want and is_isomorphic(sub, model):
+        if len(subcomplex(space, [c]).cells) == 2 ** (q + 1) - 1:
             return c
     return None
 
@@ -613,20 +584,17 @@ def _family_face_index(space, m, p):
     """Candidates for an m-cell of the source, bucketed by their face tuple.
 
     Each p-simplex of Hom(D^m, X) is filed under the tuple of its m + 1
-    face restrictions, so a family search retrieves the candidates that
-    match its already-assigned boundary with one lookup.
+    face restrictions (a vertex has none, so all of them go under ``()``),
+    and a family search retrieves the candidates that match its
+    already-assigned boundary with one lookup.
     """
-    key = ("famidx", m, p)
-    index = space._hom_cache.get(key)
-    if index is None:
-        index = {}
-        for cand in enumerate_hom_simplices(space, m, p):
-            faces = tuple(
-                hom_bireindex(cand, identity_map(p), face_map(i, m))
-                for i in range(m + 1)
-            )
-            index.setdefault(faces, []).append(cand)
-        space._hom_cache[key] = index
+    ident = identity_map(p)
+    index = {}
+    for cand in enumerate_hom_simplices(space, m, p):
+        faces = tuple(
+            hom_bireindex(cand, ident, face_map(i, m)) for i in range(m + 1 if m else 0)
+        )
+        index.setdefault(faces, []).append(cand)
     return index
 
 
@@ -638,21 +606,24 @@ def iter_hom_families(source, space, p):
     inclusion matches the face-table entry of U, degeneracies included.
     Cells are filled in dimension order, so the boundary of each cell is
     settled before the cell itself and its candidate pool is a single
-    bucket of :func:`_family_face_index`.
+    bucket of :func:`_family_face_index`, built once per cell dimension
+    for this call alone.
     """
     cells = source.cells
     position = {u: i for i, u in enumerate(cells)}
     ident = identity_map(p)
+    indices = {}
 
     def pool(i, assign):
         u = cells[i]
-        if u.dim == 0:
-            return enumerate_hom_simplices(space, 0, p)
+        index = indices.get(u.dim)
+        if index is None:
+            index = indices[u.dim] = _family_face_index(space, u.dim, p)
         required = tuple(
             hom_bireindex(assign[position[entry.generator]], ident, entry.epi)
             for entry in source.faces[u]
         )
-        return _family_face_index(space, u.dim, p).get(required, ())
+        return index.get(required, ())
 
     for values in _backtrack(len(cells), pool):
         yield HomFamily(source, space, p, cells, values)
@@ -663,24 +634,24 @@ def hom_general(source, space, p):
     return tuple(iter_hom_families(source, space, p))
 
 
-def _component_degenerate(f, k):
-    cache = f.space._hom_cache.setdefault("cdeg", {})
-    key = (f, k)
-    hit = cache.get(key)
-    if hit is None:
-        hit = _retracts_at(f, k)
-        cache[key] = hit
-    return hit
+def _family_degenerate(family, memo):
+    """:func:`is_degenerate_family`, with ``(component, k) -> verdict`` kept
+    in ``memo``, so families that share a component test it only once."""
+    for k in range(family.width):
+        for f in family.values:
+            hit = memo.get((f, k))
+            if hit is None:
+                hit = memo[f, k] = _retracts_at(f, k)
+            if not hit:
+                break
+        else:
+            return True
+    return False
 
 
 def is_degenerate_family(family):
     """Degeneracy of a family is simultaneous componentwise degeneracy."""
-    if family.width == 0:
-        return False
-    for k in range(family.width):
-        if all(_component_degenerate(f, k) for f in family.values):
-            return True
-    return False
+    return _family_degenerate(family, {})
 
 
 def theorem1bis_bound(source, space):
@@ -697,7 +668,8 @@ def dim_hom_general(source, space, degree_cap=None):
     its dimension is at most the dimension of that product, which is the
     sum of the factors' dimensions.  That start never exceeds the additive
     bound of :func:`theorem1bis_bound`.  Each degree is scanned lazily and
-    abandoned at the first nondegenerate family.
+    abandoned at the first nondegenerate family; its componentwise
+    degeneracy verdicts are memoised for that degree only.
     """
     if space.dim < 0:
         return HomDimension(0 if not source.cells else -1, True)
@@ -707,8 +679,9 @@ def dim_hom_general(source, space, degree_cap=None):
     else:
         start = degree_cap
     for p in range(start, -1, -1):
+        memo = {}
         for family in iter_hom_families(source, space, p):
-            if not is_degenerate_family(family):
+            if not _family_degenerate(family, memo):
                 return HomDimension(p, regular)
     return HomDimension(-1, regular)
 

@@ -16,6 +16,11 @@ All constructors validate the simplicial identities eagerly, so a
 ``SimplicialSet`` that exists is consistent.  Instances are immutable
 after construction (internal caches aside) and safe for unsynchronised
 concurrent reads.
+
+Each instance owns three caches, touched only by this module and dropped
+with it: ``_simplex_cache`` and ``_face_tables`` hold one entry per degree
+asked for, ``_apply_cache`` one normal form per (map, simplex) pair acted
+on, which the degrees in use bound but nothing caps.
 """
 
 from __future__ import annotations
@@ -130,7 +135,6 @@ class SimplicialSet:
         self._apply_cache = {}
         self._simplex_cache = {}
         self._face_tables = {}
-        self._hom_cache = {}
         if validate:
             self._check_simplicial_identities()
 
@@ -592,43 +596,59 @@ def from_json_dict(data):
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism testing (used mainly by the test-suite).
+# Backtracking, and isomorphism testing (used mainly by the test-suite).
 # ---------------------------------------------------------------------------
 
-def is_isomorphic(a, b):
-    """Decide isomorphism by dimension-wise backtracking on cells."""
-    if len(a.cells) != len(b.cells):
-        return False
-    dims_a = sorted(c.dim for c in a.cells)
-    dims_b = sorted(c.dim for c in b.cells)
-    if dims_a != dims_b:
-        return False
-    order = list(a.cells)  # sorted by (dim, name); faces point downward
-    targets = {d: list(b.cells_of_dim(d)) for d in set(dims_a)}
+def _backtrack(size, pool, doomed=None):
+    """Yield every tuple of ``size`` slots that the pools can fill.
 
-    def matches(x, y, mapping):
-        if x.dim != y.dim:
-            return False
-        want = tuple((fs.epi, mapping[fs.generator]) for fs in a.faces[x])
-        have = tuple((fs.epi, fs.generator) for fs in b.faces[y])
-        return want == have
-
-    used = set()
-    mapping = {}
-
-    def assign(k):
-        if k == len(order):
-            return True
-        x = order[k]
-        for y in targets[x.dim]:
-            if y in used or not matches(x, y, mapping):
+    ``pool(m, assign)`` gives the candidates for slot m once slots
+    0 .. m - 1 of ``assign`` are set; ``doomed(m, assign)``, if given,
+    abandons the branch right after slot m is set.  Results come in
+    depth-first candidate order.  The search keeps one candidate iterator
+    per open slot on an explicit stack, so its depth is never bounded by
+    the interpreter's recursion limit.
+    """
+    if size == 0:
+        yield ()
+        return
+    assign = [None] * size
+    stack = [iter(pool(0, assign))]
+    while stack:
+        m = len(stack) - 1
+        for z in stack[m]:
+            assign[m] = z
+            if doomed is not None and doomed(m, assign):
                 continue
-            mapping[x] = y
-            used.add(y)
-            if assign(k + 1):
-                return True
-            del mapping[x]
-            used.remove(y)
-        return False
+            if m + 1 == size:
+                yield tuple(assign)
+                continue
+            stack.append(iter(pool(m + 1, assign)))
+            break
+        else:
+            stack.pop()
 
-    return assign(0)
+
+def is_isomorphic(a, b):
+    """Decide isomorphism by dimension-wise backtracking on cells.
+
+    The cells of ``a`` are matched in (dimension, name) order, so the faces
+    of a cell are matched before the cell; a cell's candidates are the
+    unused cells of ``b`` whose face entries are the images of its own.
+    """
+    dims = [c.dim for c in a.cells]  # cells are sorted by (dim, name)
+    if dims != [c.dim for c in b.cells]:
+        return False
+    position = {x: k for k, x in enumerate(a.cells)}
+    by_faces = {}  # a face tuple also fixes the dimension of its cell
+    for y in b.cells:
+        key = tuple((fs.epi, fs.generator) for fs in b.faces[y])
+        by_faces.setdefault(key, []).append(y)
+
+    def pool(k, assign):
+        x = a.cells[k]
+        want = tuple((fs.epi, assign[position[fs.generator]]) for fs in a.faces[x])
+        taken = assign[dims.index(x.dim):k]
+        return [y for y in by_faces.get(want, ()) if y not in taken]
+
+    return next(_backtrack(len(dims), pool), None) is not None

@@ -9,9 +9,11 @@ from simphom.delta import (
     face_map,
     identity_map,
 )
+from simphom.exhibits import corpus
 from simphom.hom import (
     HomDimension,
     RegularityViolation,
+    _embedded_top_cell,
     almost_degenerate_at,
     dim_hom,
     dim_hom_general,
@@ -42,7 +44,9 @@ from simphom.simpset import (
     cell_simplex,
     delta,
     is_isomorphic,
+    product,
     quotient,
+    subcomplex,
 )
 
 
@@ -136,6 +140,14 @@ class TestEnumeration:
         # 1035 lattice paths: the search depth must not follow the path count
         got = enumerate_hom_simplices(delta(0), 2, 44)
         assert len(got) == count_monotone_lattice_maps(44, 2, 0) == 1
+
+    def test_negative_height_or_degree_is_rejected(self):
+        with pytest.raises(ValueError, match="^n must be non-negative"):
+            enumerate_hom_simplices(delta(1), -1, 1)
+        with pytest.raises(ValueError, match="^p must be non-negative"):
+            enumerate_hom_simplices(delta(1), 1, -1)
+        with pytest.raises(ValueError, match="^p must be non-negative"):
+            next(iter_hom_simplices(delta(1), 0, -2, prefer_large=True))
 
     def test_path_longer_than_the_recursion_limit(self):
         # one path of 1100 steps: building the path list must not recurse per step
@@ -261,11 +273,13 @@ class TestDegeneracy:
 
     def test_retraction_caches_nothing_per_simplex(self):
         space = delta(2)
+        own = set(vars(delta(2)))  # what SimplicialSet.__init__ sets
+        assert set(vars(space)) == own
         for p in range(5):
             for f in enumerate_hom_simplices(space, 1, p):
                 is_degenerate_hom(f)
                 normalize_hom(f)
-        assert set(space._hom_cache) == {("enum", 1, p) for p in range(5)}
+        assert set(vars(space)) == own
 
     def test_witness_reconstruction_over_regular_target(self):
         space = quotient(delta(2), ["0,2"])  # regular but not strongly so
@@ -314,6 +328,35 @@ class TestDimension:
     def test_irregular_needs_cap(self):
         with pytest.raises(ValueError):
             dim_hom(collapsed_ball(3), 1)
+
+    def test_standard_simplex_with_more_cells_than_the_recursion_limit(self):
+        # delta(9) has 1023 cells: the top-cell search must not recurse per cell
+        assert dim_hom(delta(9), 0) == HomDimension(9, True)
+
+    def test_cell_count_detects_an_embedded_standard_simplex(self):
+        # the count rule of _embedded_top_cell against the isomorphism search
+        spaces = [e.space for e in corpus(seed=3, count=80)] + [
+            collapsed_ball(3),
+            quotient(boundary_delta(3), ["0,1"]),
+            product(delta(1), delta(1)),
+        ]
+        checked = 0
+        for space in spaces:
+            for c in space.cells:
+                sub = subcomplex(space, [c])
+                by_count = len(sub.cells) == 2 ** (c.dim + 1) - 1
+                assert by_count == is_isomorphic(sub, delta(c.dim)), (space, c)
+                checked += 1
+            slow = next(
+                (
+                    c
+                    for c in reversed(space.cells_of_dim(space.dim))
+                    if is_isomorphic(subcomplex(space, [c]), delta(space.dim))
+                ),
+                None,
+            )
+            assert _embedded_top_cell(space) == slow
+        assert checked > 900
 
     def test_irregular_cap_gives_lower_bound(self):
         got = dim_hom(collapsed_ball(3), 1, degree_cap=4)
@@ -400,6 +443,18 @@ class TestGeneralSource:
         assert dim_hom_general(delta(0), delta(2)) == HomDimension(2, True)
         got = dim_hom_general(delta(0), collapsed_ball(2), degree_cap=2)
         assert not got.exact and got.value == 2
+
+    def test_hom_leaves_no_state_on_the_target(self):
+        target = delta(1)
+        dim_hom_general(boundary_delta(2), target)
+        assert set(vars(target)) == {
+            "_cells",
+            "_by_name",
+            "_faces",
+            "_apply_cache",
+            "_simplex_cache",
+            "_face_tables",
+        }
 
     def test_source_with_more_cells_than_the_recursion_limit(self):
         # delta(10) has 2047 cells, one search slot each

@@ -1,9 +1,12 @@
 """Simplicial sets: normal forms, constructors, the action of ordinal maps."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+import simphom.simpset
 from simphom.delta import (
     MonotoneMap,
     collapse_map,
@@ -33,6 +36,24 @@ from simphom.simpset import (
     to_json_dict,
     union,
 )
+
+
+def test_only_simpset_touches_private_attributes_of_other_objects():
+    # a SimplicialSet's state belongs to simpset: no other module may read or
+    # write an underscore attribute of anything but its own ``self``
+    offences = []
+    for path in sorted(Path(simphom.simpset.__file__).parent.glob("*.py")):
+        if path.name == "simpset.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.endswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            ):
+                offences.append("%s:%d %s" % (path.name, node.lineno, node.attr))
+    assert not offences, offences
 
 
 class TestNormalForms:
@@ -230,6 +251,10 @@ class TestIsomorphism:
         vee = nerve_poset(["a", "b", "c"], {("a", "b"), ("a", "c")})
         wedge = nerve_poset(["a", "b", "c"], {("a", "c"), ("b", "c")})
         assert not is_isomorphic(vee, wedge)  # sources vs sinks differ
+
+    def test_more_cells_than_the_recursion_limit(self):
+        # delta(9) has 1023 cells, one search slot each
+        assert is_isomorphic(delta(9), delta(9))
 
     def test_respects_face_structure(self):
         # same cell vector, different gluing: cylinder vs Moebius-like twist
