@@ -400,9 +400,7 @@ def _run_command(stmt, env, options):
         n, p, target_name = args
         target, _ = _lookup(target_name, env, stmt)
         simplices = enumerate_hom_simplices(target, n, p)
-        nondegenerate = sum(
-            1 for f in simplices if p == 0 or not is_degenerate_hom(f)
-        )
+        nondegenerate = sum(1 for f in simplices if not is_degenerate_hom(f))
         out = {
             "inputs": {"n": n, "p": p, "target": target_name},
             "counts": {"total": len(simplices), "nondegenerate": nondegenerate},

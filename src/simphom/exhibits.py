@@ -29,6 +29,8 @@ from .paths import all_paths
 from .simpset import (
     FormalSimplex,
     SimplicialSet,
+    _vertex_name,
+    _vertex_tuple,
     boundary_delta,
     delta,
     disjoint_sum,
@@ -110,10 +112,6 @@ def tight_simplex(n, q):
     return LatticeFunction((n + 1) * q, n, q, staircase_table(n, q))
 
 
-def _vertex_name(values):
-    return ",".join(str(v) for v in values)
-
-
 def _delta_simplex_from_vertices(space, values):
     """Normal form, in a standard-simplex presentation, of the simplex with
     the given weakly increasing vertex values."""
@@ -122,7 +120,7 @@ def _delta_simplex_from_vertices(space, values):
     return FormalSimplex(eps, space.cell(_vertex_name(mono.values)))
 
 
-def lattice_to_hom(space, fn, validate=True):
+def lattice_to_hom(space, fn):
     """Interpret a lattice function as a simplex of Hom(D^height, space).
 
     ``space`` must be the standard simplex of dimension ``fn.target``
@@ -134,7 +132,7 @@ def lattice_to_hom(space, fn, validate=True):
     for path in all_paths(fn.width, fn.height):
         values = tuple(fn.value(i, j) for (i, j) in path.points())
         assignment[path] = _delta_simplex_from_vertices(space, values)
-    return hom_simplex(space, fn.width, fn.height, assignment, validate=validate)
+    return hom_simplex(space, fn.width, fn.height, assignment)
 
 
 def hom_to_lattice(f):
@@ -150,7 +148,7 @@ def hom_to_lattice(f):
         for j in range(f.height + 1):
             word = "H" * i + "V" * j + "H" * (f.width - i) + "V" * (f.height - j)
             fs = f.value(word)
-            gen_vertices = tuple(int(t) for t in fs.generator.name.split(","))
+            gen_vertices = _vertex_tuple(fs.generator.name)
             col.append(gen_vertices[fs.epi(i + j)])
         cols.append(tuple(col))
     return LatticeFunction(f.width, f.height, q, tuple(cols))
@@ -198,7 +196,7 @@ def lurie_family(p, q, anchor=1, facets=None):
             )
     base = delta(q)
     gens = [_vertex_name(sorted(fc)) for fc in facets]
-    space = quotient(base, gens, star_name="*")
+    space = quotient(base, gens)
     star = space.cell("*")
     assignment = {}
     for u in range(p + 1):
@@ -211,7 +209,7 @@ def lurie_family(p, q, anchor=1, facets=None):
             assignment[word] = FormalSimplex(eps, space.cell(name))
         else:
             assignment[word] = FormalSimplex(collapse_map(p + 1), star)
-    simplex = hom_simplex(space, p, 1, assignment, validate=True)
+    simplex = hom_simplex(space, p, 1, assignment)
     return space, simplex
 
 

@@ -12,11 +12,13 @@ On top of the encoding this module provides:
 * exhaustive enumeration of the p-simplices for a finite target, by the
   backtracking core ``simpset._backtrack`` over the lex-ordered paths; it
   keeps an explicit stack of candidate iterators, so no recursion grows
-  with the number of paths, and the regular probe and the family search
-  below run through it too.  Enumeration and the regular probe search on
-  integer positions in the target's list of (p + n)-simplices: a flip
-  check compares two entries of the target's integer face table, and
-  each result is turned back into target simplices once;
+  with the number of paths, and the family search below runs through it
+  too.  The search works on integer positions in the target's list of
+  (p + n)-simplices: a flip check compares two entries of the target's
+  integer face table, and each result is turned back into target
+  simplices once.  The same search, pruned at the first fully degenerate
+  column over a regular target, streams the nondegenerate simplices that
+  both :func:`dim_hom` and :func:`hom_complex` read;
 * the simplicial structure (faces, degeneracies, reindexing along any
   monotone map, in both grid directions), each reindex following a plan
   worked out once per shape: for every small path, the index of its
@@ -54,7 +56,14 @@ from .delta import (
 )
 from .paths import LatticePath, all_paths, flip_constraints, merged_split, path_index
 from .regularity import is_regular
-from .simpset import SimplicialSet, _backtrack, cell_simplex, subcomplex
+from .simpset import (
+    CellId,
+    FormalSimplex,
+    SimplicialSet,
+    _backtrack,
+    _face_closure,
+    cell_simplex,
+)
 
 
 class RegularityViolation(Exception):
@@ -92,7 +101,7 @@ class HomSimplex:
         return "HomSimplex(p=%d, n=%d over %r)" % (self.width, self.height, self.space)
 
 
-def hom_simplex(space, width, height, assignment, validate=True):
+def hom_simplex(space, width, height, assignment):
     """Build a HomSimplex from a path -> simplex mapping and check it."""
     lookup = {}
     for key, fs in assignment.items():
@@ -111,8 +120,7 @@ def hom_simplex(space, width, height, assignment, validate=True):
             )
         values.append(fs)
     f = HomSimplex(space, width, height, tuple(values))
-    if validate:
-        validate_hom_simplex(f)
+    validate_hom_simplex(f)
     return f
 
 
@@ -177,6 +185,18 @@ def _path_pool(space, n, p, candidates):
     return pool
 
 
+def _search(space, n, p, prefer_large, doomed=None):
+    """The body of :func:`iter_hom_simplices`; ``doomed(m, assign)``, if
+    given, prunes the search over positions as in ``simpset._backtrack``."""
+    simplices = space.simplices(p + n)
+    candidates = range(len(simplices))
+    if prefer_large:
+        candidates = candidates[::-1]
+    pool = _path_pool(space, n, p, candidates)
+    for positions in _backtrack(len(all_paths(p, n)), pool, doomed):
+        yield HomSimplex(space, p, n, tuple(simplices[z] for z in positions))
+
+
 def iter_hom_simplices(space, n, p, prefer_large=False):
     """Stream the p-simplices of Hom(D^n, X) without caching.
 
@@ -189,13 +209,7 @@ def iter_hom_simplices(space, n, p, prefer_large=False):
     for name, value in (("n", n), ("p", p)):
         if value < 0:
             raise ValueError("%s must be non-negative, got %d" % (name, value))
-    simplices = space.simplices(p + n)
-    candidates = range(len(simplices))
-    if prefer_large:
-        candidates = candidates[::-1]
-    pool = _path_pool(space, n, p, candidates)
-    for positions in _backtrack(len(all_paths(p, n)), pool):
-        yield HomSimplex(space, p, n, tuple(simplices[z] for z in positions))
+    yield from _search(space, n, p, prefer_large)
 
 
 def enumerate_hom_simplices(space, n, p):
@@ -379,7 +393,7 @@ def lemma4_witness(space, f, k):
                     offender=actual,
                 )
     try:
-        return hom_simplex(space, p - 1, n, values, validate=True)
+        return hom_simplex(space, p - 1, n, values)
     except ValueError as exc:
         raise RegularityViolation(
             "witness family is itself incompatible: %s" % (exc,)
@@ -401,14 +415,12 @@ class HomDimension:
         return str(self.value) if self.exact else ">= %d" % (self.value,)
 
 
-def _probe_regular(space, n, p):
-    """Search degree p for a simplex with no fully degenerate column.
+def _column_doom(space, n, p):
+    """The ``doomed`` test of :func:`_search` that prunes degenerate columns.
 
-    Over a regular target that is exactly a nondegenerate simplex; over
-    any target it is at least one.  The search prunes during assignment:
-    the edges over column k are read off n + 1 specific paths, so as soon
+    The edges over column k are read off n + 1 specific paths, so as soon
     as the last of them is assigned and every edge over the column turned
-    out degenerate, no completion of the branch can be nondegenerate.
+    out degenerate, no completion of the branch lacks such a column.
     """
     index = path_index(p, n)
     canon = [
@@ -435,11 +447,21 @@ def _probe_regular(space, n, p):
                 return True
         return False
 
-    pool = _path_pool(space, n, p, range(len(simplices))[::-1])
-    positions = next(_backtrack(len(index), pool, doomed), None)
-    if positions is None:
-        return None
-    return HomSimplex(space, p, n, tuple(simplices[z] for z in positions))
+    return doomed
+
+
+def _iter_nondegenerate(space, n, p, regular, prefer_large=False):
+    """Stream the nondegenerate p-simplices of Hom(D^n, X) in search order.
+
+    A degenerate simplex always has a fully degenerate column.  Over a
+    regular target the converse holds too (checked exhaustively
+    elsewhere), so the search prunes every branch as soon as one of its
+    columns is fully degenerate and keeps all it yields.  Over any other
+    target each simplex is settled by the retraction test.
+    """
+    if regular:
+        return _search(space, n, p, prefer_large, _column_doom(space, n, p))
+    return (f for f in _search(space, n, p, prefer_large) if not is_degenerate_hom(f))
 
 
 def _embedded_top_cell(space):
@@ -454,7 +476,7 @@ def _embedded_top_cell(space):
     for c in reversed(space.cells):
         if c.dim != q:
             break
-        if len(subcomplex(space, [c]).cells) == 2 ** (q + 1) - 1:
+        if len(_face_closure(space, [c])) == 2 ** (q + 1) - 1:
             return c
     return None
 
@@ -496,35 +518,6 @@ def _staircase_witness(space, cell, n):
     return f
 
 
-def _exists_nondegenerate(space, n, p, target_is_regular):
-    """Probe degree p for a nondegenerate simplex.
-
-    A degenerate simplex always has a fully degenerate column, so a
-    simplex with no such column is nondegenerate over any target.  Over a
-    regular target the converse holds too (checked exhaustively
-    elsewhere), so the pruned column search decides the probe outright,
-    and its winner is re-verified with the retraction test.  Over an
-    irregular target a column hit is inconclusive, so every candidate is
-    settled by the retraction test directly.
-    """
-    if target_is_regular:
-        f = _probe_regular(space, n, p)
-        if f is None:
-            return False
-        if is_degenerate_hom(f):
-            raise AssertionError(
-                "a simplex with no degenerate column tested degenerate"
-            )
-        return True
-    for f in iter_hom_simplices(space, n, p, prefer_large=True):
-        if not any(almost_degenerate_at(f, k) for k in range(p)):
-            return True
-        if is_degenerate_hom(f):
-            continue
-        return True
-    return False
-
-
 def _regular_or_capped(space, degree_cap):
     """Whether the target is regular; an irregular one needs a degree cap."""
     regular = bool(is_regular(space))
@@ -556,7 +549,10 @@ def dim_hom(space, n, degree_cap=None):
     else:
         start = degree_cap
     for p in range(start, -1, -1):
-        if _exists_nondegenerate(space, n, p, regular):
+        f = next(_iter_nondegenerate(space, n, p, regular, prefer_large=True), None)
+        if f is not None:
+            if regular and is_degenerate_hom(f):
+                raise AssertionError("a simplex with no degenerate column tested degenerate")
             return HomDimension(p, regular)
     return HomDimension(-1, regular)
 
@@ -700,29 +696,14 @@ def hom_complex(space, n, degree_cap=None):
     Returns ``(complex, legend)`` where legend maps cell ids back to the
     nondegenerate HomSimplex they present.
     """
-    from .simpset import CellId, FormalSimplex
-
-    if _regular_or_capped(space, degree_cap):
-        # an empty target gives a negative top, so no degree is listed
-        top = (n + 1) * space.dim
-
-        # over a regular target, degeneracy is equivalent to having a fully
-        # degenerate column, which is far cheaper to read off
-        def degenerate(f):
-            return any(almost_degenerate_at(f, k) for k in range(f.width))
-
-    else:
-        top = degree_cap
-        degenerate = is_degenerate_hom
-
+    regular = _regular_or_capped(space, degree_cap)
+    # an empty target gives a negative top, so no degree is listed
+    top = (n + 1) * space.dim if regular else degree_cap
     by_degree = {}
     cell_of = {}
     legend = {}
     for p in range(top + 1):
-        keep = []
-        for f in enumerate_hom_simplices(space, n, p):
-            if p == 0 or not degenerate(f):
-                keep.append(f)
+        keep = list(_iter_nondegenerate(space, n, p, regular))
         by_degree[p] = keep
         for i, f in enumerate(keep):
             c = CellId(p, "h%d#%d" % (p, i))

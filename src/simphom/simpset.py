@@ -101,7 +101,7 @@ def cell_simplex(cell):
 class SimplicialSet:
     """A finite simplicial set with eagerly validated face structure."""
 
-    def __init__(self, cells, faces, validate=True):
+    def __init__(self, cells, faces):
         cells = tuple(sorted(cells))
         by_name = {}
         for c in cells:
@@ -135,8 +135,7 @@ class SimplicialSet:
         self._apply_cache = {}
         self._simplex_cache = {}
         self._face_tables = {}
-        if validate:
-            self._check_simplicial_identities()
+        self._check_simplicial_identities()
 
     # -- basic inspection ---------------------------------------------------
 
@@ -325,22 +324,29 @@ def delta(n):
     return SimplicialSet(cells, faces)
 
 
-def subcomplex(ambient, generators):
-    """The smallest face-closed collection containing the given cells.
+def _face_closure(ambient, generators):
+    """The set of cells of ``ambient`` that the given cells generate.
 
-    ``generators`` may contain cell names or CellId values of ``ambient``.
+    ``generators`` may contain cell names or CellId values; an unknown
+    name raises ``KeyError``.
     """
-    todo = []
-    for g in generators:
-        todo.append(ambient.cell(g) if isinstance(g, str) else ambient.cell(g.name))
+    todo = [ambient.cell(g if isinstance(g, str) else g.name) for g in generators]
     keep = set()
     while todo:
         c = todo.pop()
         if c in keep:
             continue
         keep.add(c)
-        for fs in ambient.faces[c]:
-            todo.append(fs.generator)
+        todo.extend(fs.generator for fs in ambient.faces[c])
+    return keep
+
+
+def subcomplex(ambient, generators):
+    """The smallest face-closed collection containing the given cells.
+
+    ``generators`` may contain cell names or CellId values of ``ambient``.
+    """
+    keep = _face_closure(ambient, generators)
     return SimplicialSet(keep, {c: ambient.faces[c] for c in keep})
 
 
@@ -404,23 +410,24 @@ def disjoint_sum(a, b):
     return SimplicialSet(ca + cb, fa)
 
 
-def quotient(space, collapse_generators, star_name="*"):
+def quotient(space, collapse_generators):
     """Collapse the subcomplex generated by the given cells to one vertex.
 
     The collapsed subcomplex must be nonempty.  Cells outside it keep their
     names; face entries that used to land in the subcomplex become totally
-    degenerate simplices on the fresh vertex.
+    degenerate simplices on the fresh vertex, named ``*`` (or ``*1``,
+    ``*2``, ... if that name is taken).
     """
-    doomed = set(subcomplex(space, collapse_generators).cells)
+    doomed = _face_closure(space, collapse_generators)
     if not doomed:
         raise ValueError("cannot collapse an empty subcomplex")
     kept = [c for c in space.cells if c not in doomed]
-    name = star_name
+    name = "*"
     suffix = 0
     taken = {c.name for c in kept}
     while name in taken:
         suffix += 1
-        name = "%s%d" % (star_name, suffix)
+        name = "*%d" % (suffix,)
     star = CellId(0, name)
     cells = kept + [star]
     faces = {}

@@ -14,6 +14,7 @@ from simphom.hom import (
     HomDimension,
     RegularityViolation,
     _embedded_top_cell,
+    _iter_nondegenerate,
     almost_degenerate_at,
     dim_hom,
     dim_hom_general,
@@ -38,6 +39,7 @@ from simphom.hom import (
 )
 from simphom.oracle import count_monotone_lattice_maps
 from simphom.paths import all_paths, split_path_at_column
+from simphom.regularity import is_regular
 from simphom.simpset import (
     SimplicialSet,
     boundary_delta,
@@ -255,6 +257,25 @@ class TestDegeneracy:
                             hom_degeneracy(hom_face(f, k), k) == f for k in range(p)
                         )
                         assert is_degenerate_hom(f) == slow
+
+    def test_pruned_nondegenerate_search_matches_the_retraction_filter(self):
+        # the slow reference: every simplex, filtered by the retraction test
+        cases = 0
+        for entry in corpus(seed=3, count=40):
+            space = entry.space
+            regular = bool(is_regular(space))
+            for n in (1, 2):
+                for p in range(5 - n):
+                    for large in (False, True):
+                        fast = list(_iter_nondegenerate(space, n, p, regular, large))
+                        slow = [
+                            f
+                            for f in iter_hom_simplices(space, n, p, large)
+                            if not is_degenerate_hom(f)
+                        ]
+                        assert fast == slow, (entry.name, n, p, large)
+                        cases += 1
+        assert cases == 560
 
     def test_normalize_recomposes(self):
         for space in [delta(1), quotient(delta(2), ["0,2"]), collapsed_ball(2)]:

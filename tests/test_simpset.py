@@ -204,6 +204,10 @@ class TestConstructors:
         squashed = quotient(space, ["b<c"])
         assert {c.name for c in squashed.cells} == {"*", "*1"}
 
+    def test_quotient_rejects_unknown_cells(self):
+        with pytest.raises(KeyError):
+            quotient(delta(2), ["nope"])
+
     def test_nerve_chain_is_standard_simplex(self):
         chain = nerve_poset(["a", "b", "c"], {("a", "b"), ("b", "c"), ("a", "c")})
         assert is_isomorphic(chain, delta(2))
