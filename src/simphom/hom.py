@@ -32,13 +32,15 @@ On top of the encoding this module provides:
 * dimension computation with the (n + 1) * dim X ceiling for regular
   targets and honest lower bounds otherwise;
 * mapping spaces out of an arbitrary finite source, as compatible
-  families over its cells, with the additive dimension bound.
+  families over its cells, searched on its maximal cells alone, with the
+  additive dimension bound.
 
 Computing Hom(U, X) leaves X as it was.  Every memo of a search is a local
-of the call that fills it: face buckets and edge verdicts per search, face
-indices per family search, degeneracy verdicts per degree of
-:func:`dim_hom_general`.  Only the reindex plans outlive a call, in one
-process-wide ``lru_cache`` entry per grid shape ever reindexed.
+of the call that fills it: face buckets and edge verdicts per search;
+simplex lists, source reindexes and candidate buckets per family search;
+degeneracy verdicts per degree of :func:`dim_hom_general`.  Only the
+reindex plans outlive a call, in one process-wide ``lru_cache`` entry per
+grid shape ever reindexed.
 """
 
 from __future__ import annotations
@@ -576,22 +578,99 @@ class HomFamily:
         return self.values[self.cells.index(cell)]
 
 
-def _family_face_index(space, m, p):
-    """Candidates for an m-cell of the source, bucketed by their face tuple.
+def _maximal_cells(source):
+    """The cells of U that are no face-entry generator, top dimension first,
+    then in cell order; every other cell of U is a face of one of them."""
+    below = {fs.generator for entries in source.faces.values() for fs in entries}
+    return sorted((u for u in source.cells if u not in below), key=lambda u: -u.dim)
 
-    Each p-simplex of Hom(D^m, X) is filed under the tuple of its m + 1
-    face restrictions (a vertex has none, so all of them go under ``()``),
-    and a family search retrieves the candidates that match its
-    already-assigned boundary with one lookup.
+
+def _family_search(source, space, p, maximal):
+    """The search behind :func:`iter_hom_families`, on integer positions.
+
+    Returns ``(component, family, results)``: ``results`` streams, per
+    family, the position z of each maximal cell w's value in
+    ``enumerate_hom_simplices(space, dim w, p)``, read back by
+    ``component(dim w, z)``; ``family`` gives the value of every cell.
+    A candidate carries the positions it forces below its cell: restrict
+    along each face entry, top dimension first, pull back along the
+    first-preimage section of a collapse that is not the identity, and
+    drop it when pushing forward changes the restriction or two routes
+    disagree.  Reindexes are memoised on (map, position) for the call.
     """
+    cells = source.cells
+    index = {u: i for i, u in enumerate(cells)}
     ident = identity_map(p)
-    index = {}
-    for cand in enumerate_hom_simplices(space, m, p):
-        faces = tuple(
-            hom_bireindex(cand, ident, face_map(i, m)) for i in range(m + 1 if m else 0)
+    lists = {}
+    pulled = {}
+
+    def listed(d):
+        hit = lists.get(d)
+        if hit is None:
+            simplices = enumerate_hom_simplices(space, d, p)
+            hit = lists[d] = simplices, {f: z for z, f in enumerate(simplices)}
+        return hit
+
+    def pull(gamma, z):
+        hit = pulled.get((gamma, z))
+        if hit is None:
+            f = hom_bireindex(listed(gamma.target)[0][z], ident, gamma)
+            hit = pulled[gamma, z] = listed(gamma.source)[1][f]
+        return hit
+
+    def steps(u):
+        for i, fs in enumerate(source.faces[u]):
+            epi, section = fs.epi, None
+            if not epi.is_identity:
+                first = tuple(map(epi.values.index, range(epi.target + 1)))
+                section = MonotoneMap(epi.target, epi.source, first)
+            yield face_map(i, u.dim), epi, section, index[fs.generator]
+
+    walk = [tuple(steps(u)) for u in cells]
+
+    def forced(closure, z):
+        value = {closure[0]: z}
+        for u in closure:
+            for face, epi, section, g in walk[u]:
+                r = v = pull(face, value[u])
+                if section is not None:
+                    v = pull(section, r)
+                    if pull(epi, v) != r:
+                        return None
+                if value.setdefault(g, v) != v:
+                    return None
+        return tuple(value[u] for u in closure)
+
+    owner = [None] * len(cells)  # (first slot whose closure holds the cell, place there)
+    slots = []
+    for k, w in enumerate(maximal):
+        closure = sorted(
+            (index[u] for u in _face_closure(source, [w])), key=lambda i: (-cells[i].dim, i)
         )
-        index.setdefault(faces, []).append(cand)
-    return index
+        shared = [(owner[u], t) for t, u in enumerate(closure) if owner[u] is not None]
+        for t, u in enumerate(closure):
+            owner[u] = owner[u] or (k, t)
+        table, buckets = {}, {}
+        for z in range(len(listed(w.dim)[0])):
+            vals = forced(closure, z)
+            if vals is not None:
+                table[z] = vals
+                buckets.setdefault(tuple(vals[t] for _, t in shared), []).append(z)
+        slots.append((table, [o for o, _ in shared], buckets))
+
+    def pool(k, assign):
+        _, keys, buckets = slots[k]
+        return buckets.get(tuple(slots[j][0][assign[j]][t] for j, t in keys), ())
+
+    def component(d, z):
+        return listed(d)[0][z]
+
+    def family(positions):
+        return tuple(
+            component(u.dim, slots[j][0][positions[j]][t]) for u, (j, t) in zip(cells, owner)
+        )
+
+    return component, family, _backtrack(len(maximal), pool)
 
 
 def iter_hom_families(source, space, p):
@@ -600,54 +679,26 @@ def iter_hom_families(source, space, p):
     A simplex is a family assigning to every cell of U (of dimension m) a
     p-simplex of Hom(D^m, X), such that restricting along the i-th face
     inclusion matches the face-table entry of U, degeneracies included.
-    Cells are filled in dimension order, so the boundary of each cell is
-    settled before the cell itself and its candidate pool is a single
-    bucket of :func:`_family_face_index`, built once per cell dimension
-    for this call alone.
+    A family is determined on the maximal cells of U, so the search has
+    one slot per maximal cell, top dimension first, whose pool is the one
+    bucket agreeing with earlier slots on the cells they share.  Families
+    come in lexicographic order of their maximal values' positions in
+    :func:`enumerate_hom_simplices`, each with one value per cell of U.
     """
     cells = source.cells
-    position = {u: i for i, u in enumerate(cells)}
-    ident = identity_map(p)
-    indices = {}
-
-    def pool(i, assign):
-        u = cells[i]
-        index = indices.get(u.dim)
-        if index is None:
-            index = indices[u.dim] = _family_face_index(space, u.dim, p)
-        required = tuple(
-            hom_bireindex(assign[position[entry.generator]], ident, entry.epi)
-            for entry in source.faces[u]
-        )
-        return index.get(required, ())
-
-    for values in _backtrack(len(cells), pool):
-        yield HomFamily(source, space, p, cells, values)
+    _, family, results = _family_search(source, space, p, _maximal_cells(source))
+    for positions in results:
+        yield HomFamily(source, space, p, cells, family(positions))
 
 
 def hom_general(source, space, p):
-    """All p-simplices of Hom(U, X), materialised in search order."""
+    """All p-simplices of Hom(U, X), in the order of :func:`iter_hom_families`."""
     return tuple(iter_hom_families(source, space, p))
-
-
-def _family_degenerate(family, memo):
-    """:func:`is_degenerate_family`, with ``(component, k) -> verdict`` kept
-    in ``memo``, so families that share a component test it only once."""
-    for k in range(family.width):
-        for f in family.values:
-            hit = memo.get((f, k))
-            if hit is None:
-                hit = memo[f, k] = _retracts_at(f, k)
-            if not hit:
-                break
-        else:
-            return True
-    return False
 
 
 def is_degenerate_family(family):
     """Degeneracy of a family is simultaneous componentwise degeneracy."""
-    return _family_degenerate(family, {})
+    return any(all(_retracts_at(f, k) for f in family.values) for k in range(family.width))
 
 
 def theorem1bis_bound(source, space):
@@ -658,26 +709,40 @@ def theorem1bis_bound(source, space):
 def dim_hom_general(source, space, degree_cap=None):
     """Dimension of Hom(U, X), exact for regular X.
 
-    The downward scan starts at the sum of the per-cell dimensions: the
-    restriction map embeds the mapping space levelwise into the product of
-    the per-cell mapping spaces (its image is closed under reindexing), so
-    its dimension is at most the dimension of that product, which is the
-    sum of the factors' dimensions.  That start never exceeds the additive
-    bound of :func:`theorem1bis_bound`.  Each degree is scanned lazily and
-    abandoned at the first nondegenerate family; its componentwise
-    degeneracy verdicts are memoised for that degree only.
+    The downward scan starts at the sum of dim Hom(D^{dim w}, X) over the
+    maximal cells w of U: restriction to them embeds the mapping space
+    levelwise into the product of theirs, and a monomorphism keeps
+    nondegenerate simplices nondegenerate, so the dimension is at most the
+    product's, the sum of the factors' dimensions.  Each degree stops at
+    the first nondegenerate family.  Only the maximal components are
+    tested, memoised on (dimension, position, column) for that degree:
+    the others are source-direction reindexings of them, which commute
+    with the simplex-direction retraction.
     """
     if space.dim < 0:
         return HomDimension(0 if not source.cells else -1, True)
     regular = _regular_or_capped(space, degree_cap)
+    maximal = _maximal_cells(source)
     if regular:
-        start = sum(dim_hom(space, u.dim).value for u in source.cells)
+        top = {d: dim_hom(space, d).value for d in {w.dim for w in maximal}}
+        start = sum(top[w.dim] for w in maximal)
     else:
         start = degree_cap
     for p in range(start, -1, -1):
+        component, _, results = _family_search(source, space, p, maximal)
         memo = {}
-        for family in iter_hom_families(source, space, p):
-            if not _family_degenerate(family, memo):
+
+        def retracts(d, z, k):
+            hit = memo.get((d, z, k))
+            if hit is None:
+                hit = memo[d, z, k] = _retracts_at(component(d, z), k)
+            return hit
+
+        for positions in results:
+            if not any(
+                all(retracts(w.dim, z, k) for w, z in zip(maximal, positions))
+                for k in range(p)
+            ):
                 return HomDimension(p, regular)
     return HomDimension(-1, regular)
 

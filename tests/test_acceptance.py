@@ -31,9 +31,11 @@ from simphom import (
     hom_complex,
     hom_simplex,
     horn,
+    is_degenerate_family,
     is_degenerate_hom,
     is_regular,
     is_strongly_regular,
+    iter_hom_families,
     lurie_family,
     nerve_poset,
     product,
@@ -303,10 +305,9 @@ def test_assembled_mapping_complexes_are_themselves_regular():
         assert is_regular(assembled), (entry.name, n)
 
 
-def test_general_source_dimensions_respect_the_additive_bound():
-    """For 26 source/target pairs (sources with at most 3 positive-dimensional
-    cells), the computed dimension of the mapping space from a finite source
-    never exceeds the additive per-cell bound."""
+def _general_source_pairs():
+    """26 source/target pairs; every source has at most 3 positive-dimensional
+    cells."""
     pt, d1, d2 = delta(0), delta(1), delta(2)
     two_pt = disjoint_sum(pt, pt)
     three_pt = disjoint_sum(two_pt, pt)
@@ -329,6 +330,14 @@ def test_general_source_dimensions_respect_the_additive_bound():
         (d1, long_edge),
         (pt, square), (two_pt, square), (d1, square),
     ]
+    return pairs
+
+
+def test_general_source_dimensions_respect_the_additive_bound():
+    """For 26 source/target pairs (sources with at most 3 positive-dimensional
+    cells), the computed dimension of the mapping space from a finite source
+    never exceeds the additive per-cell bound."""
+    pairs = _general_source_pairs()
     assert len(pairs) >= 20
     for source, target in pairs:
         positive = sum(1 for cell in source.cells if cell.dim > 0)
@@ -337,3 +346,21 @@ def test_general_source_dimensions_respect_the_additive_bound():
         bound = theorem1bis_bound(source, target)
         assert result.exact
         assert result.value <= bound, (result.value, bound)
+
+
+def test_general_source_dimensions_match_a_scan_from_the_additive_bound():
+    """The dimension of Hom(U, X), found from the sum over the maximal cells
+    of U and tested on their components only, equals the top degree found
+    by scanning down from the additive bound with every component tested.
+    All pairs of the test above but (fence, interval), the slowest."""
+    fence = LANDMARKS["nerve-fence"].space
+    for source, target in _general_source_pairs():
+        if source is fence:
+            continue
+        expected = -1
+        for p in range(theorem1bis_bound(source, target), -1, -1):
+            families = iter_hom_families(source, target, p)
+            if any(not is_degenerate_family(family) for family in families):
+                expected = p
+                break
+        assert dim_hom_general(source, target).value == expected, (source, target)

@@ -37,7 +37,7 @@ from simphom.hom import (
     theorem1bis_bound,
     validate_hom_simplex,
 )
-from simphom.oracle import count_monotone_lattice_maps
+from simphom.oracle import brute_force_hom_count, count_monotone_lattice_maps
 from simphom.paths import all_paths, split_path_at_column
 from simphom.regularity import is_regular
 from simphom.simpset import (
@@ -45,6 +45,8 @@ from simphom.simpset import (
     boundary_delta,
     cell_simplex,
     delta,
+    disjoint_sum,
+    horn,
     is_isomorphic,
     product,
     quotient,
@@ -477,8 +479,48 @@ class TestGeneralSource:
             "_face_tables",
         }
 
+    def test_families_match_the_face_equations_and_the_brute_force_count(self):
+        pt = delta(0)
+        # (source, top degree): degree 2 for each but the boundary of D^3
+        sources = [
+            (boundary_delta(2), 2),
+            (horn(2, 1), 2),
+            (delta(1), 2),
+            (disjoint_sum(pt, pt), 2),
+            (disjoint_sum(pt, delta(1)), 2),
+            (quotient(delta(2), ["0,2"]), 2),
+            (boundary_delta(3), 1),
+            (collapsed_ball(1), 2),  # a loop: both faces of its edge are one vertex
+            (collapsed_ball(2), 2),
+            (product(delta(1), delta(1)), 2),
+            (SimplicialSet([], {}), 2),
+            (quotient(delta(2), ["0,1", "1,2"]), 2),
+        ]
+        targets = [delta(1), delta(2), quotient(delta(2), ["0,2"])]
+        for source, top in sources:
+            for target in targets:
+                for p in range(top + 1):
+                    fams = hom_general(source, target, p)
+                    ident = identity_map(p)
+                    for fam in fams:
+                        for u in source.cells:
+                            for i, entry in enumerate(source.faces[u]):
+                                here = hom_bireindex(fam.value(u), ident, face_map(i, u.dim))
+                                there = hom_bireindex(
+                                    fam.value(entry.generator), ident, entry.epi
+                                )
+                                assert here == there, (source, target, p, u, i)
+                    assert len({fam.values for fam in fams}) == len(fams)
+                    count = brute_force_hom_count(source, target, p)
+                    assert len(fams) == count, (source, target, p)
+
+    def test_boundary_of_the_triangle_into_two_dimensional_targets(self):
+        # the three vertex pools alone multiply out to millions of triples
+        for target in (delta(2), quotient(delta(2), ["0,2"])):
+            assert dim_hom_general(boundary_delta(2), target) == HomDimension(6, True)
+
     def test_source_with_more_cells_than_the_recursion_limit(self):
-        # delta(10) has 2047 cells, one search slot each
+        # delta(10) has 2047 cells, all forced by its one maximal cell
         source = delta(10)
         assert len(list(iter_hom_families(source, delta(0), 0))) == 1
         # one vertex of Hom(D^10, D^1) per monotone map [10] -> [1]
