@@ -6,13 +6,16 @@ space, used to cross-check the path-based engine:
 * a brute-force count of simplicial maps out of an explicit product
   ``standard p-simplex x source``, assigning a target simplex to every
   nondegenerate cell of the product in dimension order, with eager
-  feasibility pruning;
+  feasibility pruning.  The search runs on positions in the target's
+  lists of simplices, through tables local to the call: an action table
+  per collapse among the domain's face entries and the face rows of each
+  degree, all computed through ``face``/``apply_map``;
 * a closed-form-free lattice count for standard-simplex source and
   target, where such maps are exactly the grid functions monotone in both
   directions.
 
-Neither route touches the path encoding: they share only the basic
-simplicial-set primitives.
+Neither route touches the path encoding or the engine's face tables:
+they share only the basic simplicial-set primitives.
 """
 
 from __future__ import annotations
@@ -36,85 +39,96 @@ def count_simplicial_maps(domain, target, node_budget=2_000_000):
     """Count simplicial maps from one finite simplicial set to another.
 
     Cells of the domain are assigned target simplices of the same degree in
-    dimension order; every face-table entry of the domain becomes an
-    equation between target simplices.  Two prunings keep the search near
-    the solution count: candidates for a cell are looked up by their first
-    constrained face, and as soon as the last generator below a cell is
-    assigned, the cell's candidate pool is checked for nonemptiness.  Pools
-    are memoised on the degree and the full tuple of required faces, so the
-    pool that passed the check is the one the cell later draws from.  The
-    search keeps one candidate iterator per assigned cell on an explicit
-    stack, so its depth is never bounded by the recursion limit.
+    dimension order; every face entry of the domain becomes an equation
+    between target simplices.  The search runs on positions: a simplex of
+    degree d is its index in ``target.simplices(d)``.  Two tables, built
+    once per call and dropped with it, turn every equation into integer
+    lookups:
+
+    * one *action table* per distinct collapse among the domain's face
+      entries, mapping positions of the collapse's target degree to
+      positions of its source degree, computed through ``apply_map``;
+    * the *face rows* of each degree the domain uses, computed through
+      ``face``, with the simplices grouped by their whole row.
+
+    A cell's candidates are then the group of its required faces, in
+    canonical order (for a vertex, every vertex of the target).  As soon
+    as the last generator below a cell is assigned, that group is checked
+    for nonemptiness.  The search keeps one candidate iterator per
+    assigned cell on an explicit stack, so its depth is never bounded by
+    the recursion limit; ``node_budget`` caps the candidates tried.
     """
     cells = domain.cells
-    order_pos = {c: t for t, c in enumerate(cells)}
-    watchers = [[] for _ in cells]
-    for w in cells:
-        entries = domain.faces[w]
-        if not entries:
-            continue
-        trigger = max(order_pos[fs.generator] for fs in entries)
-        watchers[trigger].append(w)
-
-    buckets = {}
-
-    def bucket(degree):
-        table = buckets.get(degree)
-        if table is None:
-            table = {}
-            for z in target.simplices(degree):
-                table.setdefault(target.face(z, 0), []).append(z)
-            buckets[degree] = table
-        return table
-
-    def required_faces(w, assigned):
-        return tuple(
-            target.apply_map(fs.epi, assigned[fs.generator])
-            for fs in domain.faces[w]
-        )
-
-    pools = {}
-
-    def pool_for(degree, required):
-        key = (degree, required)
-        hit = pools.get(key)
-        if hit is None:
-            if not required:
-                hit = target.simplices(degree)
-            else:
-                hit = [
-                    z
-                    for z in bucket(degree).get(required[0], ())
-                    if all(
-                        target.face(z, i) == required[i]
-                        for i in range(1, len(required))
-                    )
-                ]
-            pools[key] = hit
-        return hit
-
-    assigned = {}
-
-    def candidates(t):
-        c = cells[t]
-        return iter(pool_for(c.dim, required_faces(c, assigned)))
-
     if not cells:
         return 1
+    order_pos = {c: t for t, c in enumerate(cells)}
+    positions = {}
+
+    def index(degree):
+        table = positions.get(degree)
+        if table is None:
+            table = {z: k for k, z in enumerate(target.simplices(degree))}
+            positions[degree] = table
+        return table
+
+    actions = {}
+    for c in cells:
+        for fs in domain.faces[c]:
+            epi = fs.epi
+            if epi not in actions:
+                below = index(epi.source)
+                actions[epi] = tuple(
+                    below[target.apply_map(epi, z)]
+                    for z in target.simplices(epi.target)
+                )
+    groups = {}
+    for d in {c.dim for c in cells}:
+        simplices = target.simplices(d)
+        if d == 0:
+            groups[d] = {(): range(len(simplices))}
+            continue
+        below = index(d - 1)
+        group = {}
+        for k, z in enumerate(simplices):
+            row = tuple(below[target.face(z, i)] for i in range(d + 1))
+            group.setdefault(row, []).append(k)
+        groups[d] = group
+    equations = [
+        (
+            groups[c.dim],
+            tuple((order_pos[fs.generator], actions[fs.epi]) for fs in domain.faces[c]),
+        )
+        for c in cells
+    ]
+    watchers = [[] for _ in cells]
+    for t, (_, entries) in enumerate(equations):
+        if entries:
+            watchers[max(g for g, _ in entries)].append(equations[t])
+    assigned = [None] * len(cells)
+
+    def required(entries):
+        return tuple([table[assigned[g]] for g, table in entries])
+
+    def candidates(t):
+        group, entries = equations[t]
+        return iter(group.get(required(entries), ()))
+
     budget = node_budget
     total = 0
     stack = [candidates(0)]
     while stack:
         t = len(stack) - 1
-        c = cells[t]
         for z in stack[t]:
             budget -= 1
             if budget < 0:
                 raise OracleBudgetExceeded(node_budget)
-            assigned[c] = z
-            if not all(
-                pool_for(w.dim, required_faces(w, assigned)) for w in watchers[t]
-            ):
+            assigned[t] = z
+            blocked = False
+            for group, entries in watchers[t]:
+                if required(entries) not in group:
+                    blocked = True
+                    break
+            if blocked:
                 continue
             if t + 1 == len(cells):
                 total += 1
@@ -123,7 +137,6 @@ def count_simplicial_maps(domain, target, node_budget=2_000_000):
             break
         else:
             stack.pop()
-            assigned.pop(c, None)
     return total
 
 

@@ -13,7 +13,9 @@ For searches, :meth:`SimplicialSet.face_table` gives the faces of all
 simplices of one degree as positions in the list of the degree below.
 
 All constructors validate the simplicial identities eagerly, so a
-``SimplicialSet`` that exists is consistent.  Instances are immutable
+``SimplicialSet`` that exists is consistent.  The check works on
+collapse values, by the rule :meth:`SimplicialSet.face_table` uses, so
+construction leaves ``_apply_cache`` empty.  Instances are immutable
 after construction (internal caches aside) and safe for unsynchronised
 concurrent reads.
 
@@ -258,15 +260,8 @@ class SimplicialSet:
                 v, cell = x.epi.values, x.generator
                 row = []
                 for i in range(degree + 1):
-                    w = v[:i] + v[i + 1:]
-                    j = v[i]
-                    if (i and v[i - 1] == j) or (i < degree and v[i + 1] == j):
-                        row.append(position[cell.name, w])
-                    else:
-                        y = self._faces[cell][j]
-                        e = y.epi.values
-                        pulled = tuple(e[u if u < j else u - 1] for u in w)
-                        row.append(position[y.generator.name, pulled])
+                    g, w = self._face_values(cell, v, i)
+                    row.append(position[g.name, w])
                 rows.append(tuple(row))
             table = tuple(rows)
             self._face_tables[degree] = table
@@ -274,15 +269,28 @@ class SimplicialSet:
 
     # -- validation -----------------------------------------------------------
 
+    def _face_values(self, cell, v, i):
+        # The i-th face of the simplex with collapse values v on ``cell``, as
+        # a (generator, values) pair, by the rule face_table documents.
+        w = v[:i] + v[i + 1:]
+        j = v[i]
+        if (i and v[i - 1] == j) or (i + 1 < len(v) and v[i + 1] == j):
+            return cell, w
+        y = self._faces[cell][j]
+        e = y.epi.values
+        return y.generator, tuple(e[u if u < j else u - 1] for u in w)
+
     def _check_simplicial_identities(self):
+        # d_i d_j = d_{j-1} d_i on every cell, on (generator, values) pairs,
+        # so construction never goes through apply_map or fills its cache.
         for c in self._cells:
             if c.dim < 2:
                 continue
-            x = cell_simplex(c)
+            x = tuple(range(c.dim + 1))
             for j in range(1, c.dim + 1):
                 for i in range(j):
-                    left = self.face(self.face(x, j), i)
-                    right = self.face(self.face(x, i), j - 1)
+                    left = self._face_values(*self._face_values(c, x, j), i)
+                    right = self._face_values(*self._face_values(c, x, i), j - 1)
                     if left != right:
                         raise ValueError(
                             "face identities fail on %r at (i=%d, j=%d)" % (c.name, i, j)

@@ -1,11 +1,13 @@
 """Independent counting routes and their agreement with the path engine."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import simphom.oracle
+from simphom.exhibits import corpus
 from simphom.hom import enumerate_hom_simplices
 from simphom.oracle import (
     OracleBudgetExceeded,
@@ -29,6 +31,18 @@ def test_oracle_does_not_import_the_engine():
     assert not any(name.split(".")[-1] == "hom" for name in imported), imported
 
 
+def test_oracle_never_reads_the_engine_face_tables():
+    # face_table serves the engine's search; the oracle computes every face
+    # through face/apply_map so that the two routes share no face data
+    tree = ast.parse(Path(simphom.oracle.__file__).read_text(encoding="utf-8"))
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "face_table"
+    ]
+    assert not reads, reads
+
+
 class TestLatticeCounts:
     def test_frozen_values(self):
         assert count_monotone_lattice_maps(0, 0, 1) == 2
@@ -46,6 +60,20 @@ class TestLatticeCounts:
                     assert count_monotone_lattice_maps(p, n, q) == (
                         count_monotone_lattice_maps(n, p, q)
                     )
+
+    def test_macmahon_box_formula(self):
+        # grid functions monotone both ways are plane partitions in a
+        # (p + 1) x (n + 1) x q box, counted by MacMahon's product formula
+        for p in range(5):
+            for n in range(4):
+                for q in range(4):
+                    box = Fraction(1)
+                    for i in range(1, p + 2):
+                        for j in range(1, n + 2):
+                            for k in range(1, q + 1):
+                                box *= Fraction(i + j + k - 1, i + j + k - 2)
+                    assert box.denominator == 1
+                    assert count_monotone_lattice_maps(p, n, q) == box, (p, n, q)
 
     def test_height_zero_counts_simplices(self):
         for p in range(5):
@@ -73,6 +101,21 @@ class TestBruteForce:
     def test_domain_with_more_cells_than_the_recursion_limit(self):
         # delta(9) x delta(0) has 1023 cells, one search level each
         assert brute_force_hom_count(delta(0), delta(0), 9) == 1
+
+    def test_node_accounting_is_frozen(self):
+        # the smallest budget that succeeds is the number of candidates the
+        # search tries, so it pins the cell order, the pools and the pruning
+        square = next(e.space for e in corpus() if e.name == "square")
+        cases = [
+            (product(delta(2), delta(1)), delta(2), 50, 1502),
+            (product(delta(1), delta(1)), quotient(delta(2), ["0,2"]), 13, 134),
+            (product(delta(2), delta(2)), square, 400, 41108),
+            (boundary_delta(3), horn(2, 1), 9, 138),
+        ]
+        for domain, target, count, budget in cases:
+            assert count_simplicial_maps(domain, target, node_budget=budget) == count
+            with pytest.raises(OracleBudgetExceeded):
+                count_simplicial_maps(domain, target, node_budget=budget - 1)
 
     def test_budget_exhaustion(self):
         with pytest.raises(OracleBudgetExceeded):

@@ -141,6 +141,51 @@ class TestAction:
         with pytest.raises(ValueError):
             SimplicialSet([a, b, c, e1, e2, t], faces)
 
+    def test_identity_check_rejects_hand_made_bad_presentations(self):
+        full = delta(2)
+        top = full.cell("0,1,2")
+        d0, d1, d2 = full.faces[top]
+        cells = list(full.cells)
+        for entries in [(d1, d0, d2), (d0, d1, d0)]:  # swapped, wrong generator
+            faces = dict(full.faces)
+            faces[top] = entries
+            with pytest.raises(ValueError, match="face identities fail"):
+                SimplicialSet(cells, faces)
+        # an edge a -> b and a 2-cell whose 0-th face is degenerate: on b the
+        # presentation is consistent, on a it is not
+        a, b = CellId(0, "a"), CellId(0, "b")
+        e, t = CellId(1, "e"), CellId(2, "t")
+        cs = cell_simplex
+        for vertex, ok in [(b, True), (a, False)]:
+            faces = {
+                e: (cs(b), cs(a)),
+                t: (FormalSimplex(collapse_map(1), vertex), cs(e), cs(e)),
+            }
+            if ok:
+                SimplicialSet([a, b, e, t], faces)
+            else:
+                with pytest.raises(ValueError, match="face identities fail on 't'"):
+                    SimplicialSet([a, b, e, t], faces)
+
+    def test_corpus_spaces_build_and_satisfy_the_identities_via_apply_map(self):
+        # the construction-time check works on value tuples; face/apply_map
+        # is the slow reference it must agree with
+        for entry in corpus(seed=3, count=200):
+            space = entry.space
+            for c in space.cells:
+                if c.dim < 2:
+                    continue
+                x = cell_simplex(c)
+                for j in range(1, c.dim + 1):
+                    for i in range(j):
+                        assert space.face(space.face(x, j), i) == space.face(
+                            space.face(x, i), j - 1
+                        ), (entry.name, c.name, i, j)
+
+    def test_construction_leaves_the_apply_cache_empty(self):
+        for space in [delta(9), product(delta(2), delta(2))]:
+            assert space._apply_cache == {}
+
 
 class TestConstructors:
     def test_boundary_and_horn(self):
