@@ -20,6 +20,10 @@ Commands run the checkers and computations::
     homdim NAME target NAME [cap C] | homcount N P target NAME
     dump NAME | example tight N Q | example lurie Q A P
 
+``homdim`` is one :func:`simphom.hom.dim_hom_general` call, which picks its
+route from the cells of the source: a standard simplex, however written
+(``delta 3``, ``sub A by 0 1 2 3``, a chain's nerve), takes the D^n route.
+
 Each command prints one JSON object per line: ``command``, ``inputs``,
 then ``verdict``/``value`` with optional ``witness`` or ``counts``, and
 ``elapsed_ms``.  A false verdict is a successful run.  A script that
@@ -39,12 +43,7 @@ from dataclasses import dataclass
 
 from .delta import MonotoneMap
 from .exhibits import lurie_family, tight_simplex
-from .hom import (
-    dim_hom,
-    dim_hom_general,
-    enumerate_hom_simplices,
-    is_degenerate_hom,
-)
+from .hom import dim_hom_general, enumerate_hom_simplices, is_degenerate_hom
 from .paths import all_paths
 from .regularity import is_regular, is_strongly_regular, satisfies_pr
 from .simpset import (
@@ -300,27 +299,27 @@ def parse_script(text):
 def _build(expr, env, stmt):
     head = expr[0]
     if head == "delta":
-        return delta(expr[1]), ("delta", expr[1])
+        return delta(expr[1])
     if head == "boundary":
-        return boundary_delta(expr[1]), None
+        return boundary_delta(expr[1])
     if head == "horn":
-        return horn(expr[1], expr[2]), None
+        return horn(expr[1], expr[2])
     if head in ("product", "sum", "union"):
         a = _lookup(expr[1], env, stmt)
         b = _lookup(expr[2], env, stmt)
         maker = {"product": product, "sum": disjoint_sum, "union": union}[head]
-        return maker(a[0], b[0]), None
+        return maker(a, b)
     if head == "quotient":
         base = _lookup(expr[1], env, stmt)
-        return quotient(base[0], _resolve_cells(base[0], expr[2], stmt)), None
+        return quotient(base, _resolve_cells(base, expr[2], stmt))
     if head == "sub":
         base = _lookup(expr[1], env, stmt)
-        return subcomplex(base[0], _resolve_cells(base[0], expr[2], stmt)), None
+        return subcomplex(base, _resolve_cells(base, expr[2], stmt))
     if head == "nerve":
         pairs, singles = expr[1], expr[2]
         carrier = sorted({x for pair in pairs for x in pair} | set(singles))
         closed = transitive_closure(pairs)
-        return nerve_poset(carrier, sorted(closed)), None
+        return nerve_poset(carrier, sorted(closed))
     raise AssertionError("unreachable constructor %r" % (head,))
 
 
@@ -368,14 +367,14 @@ def _run_command(stmt, env, options):
     kind, args = stmt.kind, stmt.args
     max_degree = options.get("max_degree")
     if kind == "check-regular":
-        space, _ = _lookup(args[0], env, stmt)
+        space = _lookup(args[0], env, stmt)
         return {"inputs": {"set": args[0]}, **_report(is_regular(space))}
     if kind == "check-strongly-regular":
-        space, _ = _lookup(args[0], env, stmt)
+        space = _lookup(args[0], env, stmt)
         return {"inputs": {"set": args[0]}, **_report(is_strongly_regular(space))}
     if kind == "check-P":
         r, name, cap = args
-        space, _ = _lookup(name, env, stmt)
+        space = _lookup(name, env, stmt)
         if cap is None:
             cap = max_degree
         return {
@@ -384,21 +383,18 @@ def _run_command(stmt, env, options):
         }
     if kind == "homdim":
         source_name, target_name, cap = args
-        source, provenance = _lookup(source_name, env, stmt)
-        target, _ = _lookup(target_name, env, stmt)
+        source = _lookup(source_name, env, stmt)
+        target = _lookup(target_name, env, stmt)
         if cap is None:
             cap = max_degree
-        if provenance is not None and provenance[0] == "delta":
-            result = dim_hom(target, provenance[1], degree_cap=cap)
-        else:
-            result = dim_hom_general(source, target, degree_cap=cap)
+        result = dim_hom_general(source, target, degree_cap=cap)
         return {
             "inputs": {"source": source_name, "target": target_name, "cap": cap},
             "value": _dimension_value(result),
         }
     if kind == "homcount":
         n, p, target_name = args
-        target, _ = _lookup(target_name, env, stmt)
+        target = _lookup(target_name, env, stmt)
         simplices = enumerate_hom_simplices(target, n, p)
         nondegenerate = sum(1 for f in simplices if not is_degenerate_hom(f))
         out = {
@@ -413,7 +409,7 @@ def _run_command(stmt, env, options):
             ]
         return out
     if kind == "dump":
-        space, _ = _lookup(args[0], env, stmt)
+        space = _lookup(args[0], env, stmt)
         return {"inputs": {"set": args[0]}, "value": to_json_dict(space)}
     if kind == "example-tight":
         n, q = args

@@ -23,11 +23,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .delta import MonotoneMap, collapse_map, epi_mono_factor
-from .hom import HomSimplex, hom_simplex, staircase_table
-from .paths import all_paths
+from .hom import (
+    HomSimplex,
+    _turning_word,
+    _written_simplex,
+    staircase_table,
+    validate_hom_simplex,
+)
 from .simpset import (
-    FormalSimplex,
     SimplicialSet,
     _vertex_name,
     _vertex_tuple,
@@ -112,27 +115,22 @@ def tight_simplex(n, q):
     return LatticeFunction((n + 1) * q, n, q, staircase_table(n, q))
 
 
-def _delta_simplex_from_vertices(space, values):
-    """Normal form, in a standard-simplex presentation, of the simplex with
-    the given weakly increasing vertex values."""
-    alpha = MonotoneMap(len(values) - 1, space.dim, tuple(values))
-    eps, mono = epi_mono_factor(alpha)
-    return FormalSimplex(eps, space.cell(_vertex_name(mono.values)))
-
-
 def lattice_to_hom(space, fn):
     """Interpret a lattice function as a simplex of Hom(D^height, space).
 
     ``space`` must be the standard simplex of dimension ``fn.target``
-    (cells named by their vertex lists), e.g. ``delta(fn.target)``.
+    (cells named by their vertex lists), e.g. ``delta(fn.target)``; the
+    table is written into its cell ``0,...,target``.
     """
     if space.dim != fn.target:
         raise ValueError("target simplex dimension does not match the function")
-    assignment = {}
-    for path in all_paths(fn.width, fn.height):
-        values = tuple(fn.value(i, j) for (i, j) in path.points())
-        assignment[path] = _delta_simplex_from_vertices(space, values)
-    return hom_simplex(space, fn.width, fn.height, assignment)
+    top = space.cell(_vertex_name(range(fn.target + 1)))
+    f = _written_simplex(
+        space, top, fn.width, fn.height,
+        lambda path: tuple(fn.value(i, j) for i, j in path.points()),
+    )
+    validate_hom_simplex(f)
+    return f
 
 
 def hom_to_lattice(f):
@@ -146,8 +144,7 @@ def hom_to_lattice(f):
     for i in range(f.width + 1):
         col = []
         for j in range(f.height + 1):
-            word = "H" * i + "V" * j + "H" * (f.width - i) + "V" * (f.height - j)
-            fs = f.value(word)
+            fs = f.value(_turning_word(i, j, f.width, f.height))
             gen_vertices = _vertex_tuple(fs.generator.name)
             col.append(gen_vertices[fs.epi(i + j)])
         cols.append(tuple(col))
@@ -194,22 +191,15 @@ def lurie_family(p, q, anchor=1, facets=None):
                 "the collapsed facets must include the one omitting each "
                 "anchor vertex"
             )
-    base = delta(q)
-    gens = [_vertex_name(sorted(fc)) for fc in facets]
-    space = quotient(base, gens)
-    star = space.cell("*")
-    assignment = {}
-    for u in range(p + 1):
-        word = "H" * u + "V" + "H" * (p - u)
-        values = tuple(clamp(i - u + anchor, 0, q) for i in range(p + 2))
-        alpha = MonotoneMap(p + 1, q, values)
-        eps, mono = epi_mono_factor(alpha)
-        name = _vertex_name(mono.values)
-        if space.has_cell(name):
-            assignment[word] = FormalSimplex(eps, space.cell(name))
-        else:
-            assignment[word] = FormalSimplex(collapse_map(p + 1), star)
-    simplex = hom_simplex(space, p, 1, assignment)
+    space = quotient(delta(q), [_vertex_name(sorted(fc)) for fc in facets])
+    top = space.cell(_vertex_name(range(q + 1)))  # every collapsed facet is proper
+
+    def shift(path):
+        u = path.word.index("V")  # the column the path crosses at
+        return tuple(clamp(i - u + anchor, 0, q) for i in range(p + 2))
+
+    simplex = _written_simplex(space, top, p, 1, shift)
+    validate_hom_simplex(simplex)
     return space, simplex
 
 
@@ -217,7 +207,7 @@ def interval_component(f, u):
     """The simplex assigned to the path crossing at column u (height 1)."""
     if f.height != 1:
         raise ValueError("interval components need a height-1 simplex")
-    return f.value("H" * u + "V" + "H" * (f.width - u))
+    return f.value(_turning_word(u, 1, f.width, 1))
 
 
 def hom1_degeneracy_test(f, k):

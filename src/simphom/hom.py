@@ -33,14 +33,16 @@ On top of the encoding this module provides:
   targets and honest lower bounds otherwise;
 * mapping spaces out of an arbitrary finite source, as compatible
   families over its cells, searched on its maximal cells alone, with the
-  additive dimension bound.
+  additive dimension bound; a source whose cells form a standard simplex
+  is answered as Hom(D^n, X), whatever presentation it came in.
 
 Computing Hom(U, X) leaves X as it was.  Every memo of a search is a local
 of the call that fills it: face buckets and edge verdicts per search;
 simplex lists, source reindexes and candidate buckets per family search;
 degeneracy verdicts per degree of :func:`dim_hom_general`.  Only the
 reindex plans outlive a call, in one process-wide ``lru_cache`` entry per
-grid shape ever reindexed.
+grid shape ever reindexed, as do the ``lru_cache`` tables of ``paths``
+and ``delta``.
 """
 
 from __future__ import annotations
@@ -199,6 +201,13 @@ def _search(space, n, p, prefer_large, doomed=None):
         yield HomSimplex(space, p, n, tuple(simplices[z] for z in positions))
 
 
+def _non_negative(**degrees):
+    """Reject a negative source dimension n or simplex degree p by name."""
+    for name, value in degrees.items():
+        if value < 0:
+            raise ValueError("%s must be non-negative, got %d" % (name, value))
+
+
 def iter_hom_simplices(space, n, p, prefer_large=False):
     """Stream the p-simplices of Hom(D^n, X) without caching.
 
@@ -208,9 +217,7 @@ def iter_hom_simplices(space, n, p, prefer_large=False):
     when probing for a nondegenerate simplex.  A negative n or p raises
     ``ValueError`` when the stream starts.
     """
-    for name, value in (("n", n), ("p", p)):
-        if value < 0:
-            raise ValueError("%s must be non-negative, got %d" % (name, value))
+    _non_negative(n=n, p=p)
     yield from _search(space, n, p, prefer_large)
 
 
@@ -294,12 +301,16 @@ def hom_source_reindex(f, gamma):
 # Degeneracy detection.
 # ---------------------------------------------------------------------------
 
+def _turning_word(k, j, p, n):
+    """The path H^k V^j H^(p-k) V^(n-j), which turns at the grid point (k, j)."""
+    return "H" * k + "V" * j + "H" * (p - k) + "V" * (n - j)
+
+
 def edge_restriction(f, k, j):
     """The 1-simplex of X under the horizontal grid edge (k, j) -> (k+1, j)."""
     if not (0 <= k < f.width and 0 <= j <= f.height):
         raise ValueError("grid edge (%d, %d) out of range" % (k, j))
-    word = "H" * k + "V" * j + "H" * (f.width - k) + "V" * (f.height - j)
-    z = f.values[path_index(f.width, f.height)[word]]
+    z = f.values[path_index(f.width, f.height)[_turning_word(k, j, f.width, f.height)]]
     return f.space.apply_map(edge_map(k + j, 1, f.width + f.height), z)
 
 
@@ -425,10 +436,7 @@ def _column_doom(space, n, p):
     out degenerate, no completion of the branch lacks such a column.
     """
     index = path_index(p, n)
-    canon = [
-        [index["H" * k + "V" * j + "H" * (p - k) + "V" * (n - j)] for j in range(n + 1)]
-        for k in range(p)
-    ]
+    canon = [[index[_turning_word(k, j, p, n)] for j in range(n + 1)] for k in range(p)]
     triggers = [[] for _ in index]
     for k in range(p):
         triggers[max(canon[k])].append(k)
@@ -466,21 +474,21 @@ def _iter_nondegenerate(space, n, p, regular, prefer_large=False):
     return (f for f in _search(space, n, p, prefer_large) if not is_degenerate_hom(f))
 
 
-def _embedded_top_cell(space):
-    """A top-dimensional cell generating a standard-simplex subcomplex.
+def _spans_simplex(space, cell):
+    """Whether the cells that ``cell`` generates form a standard simplex.
 
     A q-cell c qualifies exactly when it generates 2 ** (q + 1) - 1 cells:
     S |-> (generator of the face of c on the vertex set S) maps the
     nonempty S onto those cells, so equal counts make it a bijection, and
     a degenerate face would share its generator with a smaller face.
     """
-    q = space.dim
-    for c in reversed(space.cells):
-        if c.dim != q:
-            break
-        if len(_face_closure(space, [c])) == 2 ** (q + 1) - 1:
-            return c
-    return None
+    return len(_face_closure(space, [cell])) == 2 ** (cell.dim + 1) - 1
+
+
+def _embedded_top_cell(space):
+    """A top-dimensional cell generating a standard-simplex subcomplex."""
+    top = reversed(space.cells_of_dim(space.dim))
+    return next((c for c in top if _spans_simplex(space, c)), None)
 
 
 def staircase_table(n, q):
@@ -499,6 +507,16 @@ def staircase_table(n, q):
     return tuple(table)
 
 
+def _written_simplex(space, cell, p, n, chain):
+    """The p-simplex of Hom(D^n, X) whose value on a path is ``apply_map`` of
+    its vertex values ``chain(path)`` on ``cell``, read as vertices of the
+    standard simplex the cell generates.  A chain that reads a grid of
+    vertex values at the path's points gives a compatible family."""
+    x = cell_simplex(cell)
+    values = (MonotoneMap(p + n, cell.dim, chain(path)) for path in all_paths(p, n))
+    return HomSimplex(space, p, n, tuple(space.apply_map(psi, x) for psi in values))
+
+
 def _staircase_witness(space, cell, n):
     """The staircase of :func:`staircase_table`, written into the standard
     simplex embedded as the faces of ``cell``.
@@ -506,15 +524,11 @@ def _staircase_witness(space, cell, n):
     Consecutive columns differ at a level where the embedded edge is
     nondegenerate, so no column of the result is fully degenerate.
     """
-    q = cell.dim
-    p = (n + 1) * q
-    table = staircase_table(n, q)
-    values = []
-    for path in all_paths(p, n):
-        chain = tuple(table[i][j] for (i, j) in path.points())
-        psi = MonotoneMap(p + n, q, chain)
-        values.append(space.apply_map(psi, cell_simplex(cell)))
-    f = HomSimplex(space, p, n, tuple(values))
+    p = (n + 1) * cell.dim
+    table = staircase_table(n, cell.dim)
+    f = _written_simplex(
+        space, cell, p, n, lambda path: tuple(table[i][j] for i, j in path.points())
+    )
     if any(almost_degenerate_at(f, k) for k in range(p)):
         raise AssertionError("staircase witness has a fully degenerate column")
     return f
@@ -536,6 +550,7 @@ def dim_hom(space, n, degree_cap=None):
     required and the result is a lower bound: gaps in the degrees of
     nondegenerate simplices cannot be ruled out beyond the cap.
     """
+    _non_negative(n=n)
     if space.dim < 0:
         return HomDimension(-1, True)
     regular = _regular_or_capped(space, degree_cap)
@@ -684,7 +699,9 @@ def iter_hom_families(source, space, p):
     bucket agreeing with earlier slots on the cells they share.  Families
     come in lexicographic order of their maximal values' positions in
     :func:`enumerate_hom_simplices`, each with one value per cell of U.
+    A negative p raises ``ValueError`` when the stream starts.
     """
+    _non_negative(p=p)
     cells = source.cells
     _, family, results = _family_search(source, space, p, _maximal_cells(source))
     for positions in results:
@@ -702,14 +719,17 @@ def is_degenerate_family(family):
 
 
 def theorem1bis_bound(source, space):
-    """The additive dimension bound: sum of (dim u + 1) * dim X over cells."""
-    return sum((u.dim + 1) * space.dim for u in source.cells)
+    """The additive dimension bound: sum of (dim u + 1) * dim X over cells,
+    and never below -1, the dimension of an empty mapping space."""
+    return max(-1, sum((u.dim + 1) * space.dim for u in source.cells))
 
 
 def dim_hom_general(source, space, degree_cap=None):
     """Dimension of Hom(U, X), exact for regular X.
 
-    The downward scan starts at the sum of dim Hom(D^{dim w}, X) over the
+    When U is a standard simplex by its cells (one maximal cell w, which
+    spans a simplex), Hom(U, X) is Hom(D^{dim w}, X) and :func:`dim_hom`
+    answers, capped or not.  Otherwise the downward scan starts at the sum of dim Hom(D^{dim w}, X) over the
     maximal cells w of U: restriction to them embeds the mapping space
     levelwise into the product of theirs, and a monomorphism keeps
     nondegenerate simplices nondegenerate, so the dimension is at most the
@@ -721,8 +741,10 @@ def dim_hom_general(source, space, degree_cap=None):
     """
     if space.dim < 0:
         return HomDimension(0 if not source.cells else -1, True)
-    regular = _regular_or_capped(space, degree_cap)
     maximal = _maximal_cells(source)
+    if len(maximal) == 1 and _spans_simplex(source, maximal[0]):
+        return dim_hom(space, maximal[0].dim, degree_cap)
+    regular = _regular_or_capped(space, degree_cap)
     if regular:
         top = {d: dim_hom(space, d).value for d in {w.dim for w in maximal}}
         start = sum(top[w.dim] for w in maximal)
@@ -761,6 +783,7 @@ def hom_complex(space, n, degree_cap=None):
     Returns ``(complex, legend)`` where legend maps cell ids back to the
     nondegenerate HomSimplex they present.
     """
+    _non_negative(n=n)
     regular = _regular_or_capped(space, degree_cap)
     # an empty target gives a negative top, so no degree is listed
     top = (n + 1) * space.dim if regular else degree_cap

@@ -35,6 +35,7 @@ from .delta import (
     SurjectionWord,
     collapse_map,
     compose_monotone,
+    degeneracy_map,
     epi_mono_factor,
     face_map,
     identity_map,
@@ -212,8 +213,6 @@ class SimplicialSet:
 
     def degeneracy(self, x, k):
         """The k-th degeneracy of a simplex (degree rises by one)."""
-        from .delta import degeneracy_map
-
         return self.apply_map(degeneracy_map(k, x.degree), x)
 
     def simplices(self, degree):
@@ -295,11 +294,6 @@ class SimplicialSet:
                         raise ValueError(
                             "face identities fail on %r at (i=%d, j=%d)" % (c.name, i, j)
                         )
-
-
-def is_degenerate(x):
-    """Whether a normal-form simplex is degenerate."""
-    return x.is_degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -553,16 +547,11 @@ def nerve_poset(carrier, strictly_below):
                     % (elements[x], elements[y], elements[z])
                 )
     chains = []
-
-    def extend(chain):
+    todo = [(i,) for i in range(len(elements))]
+    while todo:
+        chain = todo.pop()
         chains.append(chain)
-        last = chain[-1]
-        for j in range(len(elements)):
-            if (last, j) in rel:
-                extend(chain + (j,))
-
-    for i in range(len(elements)):
-        extend((i,))
+        todo.extend(chain + (j,) for j in range(len(elements)) if (chain[-1], j) in rel)
     cells = {}
     faces = {}
     for chain in chains:

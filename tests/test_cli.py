@@ -146,6 +146,20 @@ class TestExecution:
         assert ok
         assert results[0]["value"] == "≥ 3"
 
+    def test_homdim_routes_a_simplex_source_by_its_cells(self):
+        results, ok = run_text(
+            "set T = delta 2\n"
+            "set A = delta 3\n"
+            "set B = sub A by 0 1 2 3\n"
+            "set N = nerve { a<b a<c a<d b<c b<d c<d }\n"
+            "homdim A target T\n"
+            "homdim B target T\n"
+            "homdim N target T\n"
+        )
+        assert ok
+        assert [res["value"] for res in results] == [8, 8, 8]
+        assert all(res["elapsed_ms"] < 5000 for res in results)
+
     def test_homdim_general_source(self):
         results, ok = run_text(
             "set B = boundary 2\nset I = delta 1\nhomdim B target I\n"

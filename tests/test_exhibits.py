@@ -121,6 +121,26 @@ class TestClampedShiftFamily:
             assert all(almost_degenerate_at(f, k) for k in range(p))
             assert not is_degenerate_hom(f)
 
+    def test_frozen_tokens_of_every_component(self):
+        _, f = lurie_family(4, 3)
+        assert [v.token() for v in f.values] == [
+            "s2s1s0:0,1,2",
+            "s1s0:0,1,2,3",
+            "s4s0:0,1,2,3",
+            "s4s3:0,1,2,3",
+            "s4s3s2:1,2,3",
+        ]
+        everything = frozenset(range(4))
+        _, f = lurie_family(4, 3, facets=[everything - {v} for v in range(4)])
+        # the outer components collapse onto the point the facets became
+        assert [v.token() for v in f.values] == [
+            "s4s3s2s1s0:*",
+            "s1s0:0,1,2,3",
+            "s4s0:0,1,2,3",
+            "s4s3:0,1,2,3",
+            "s4s3s2s1s0:*",
+        ]
+
     def test_full_facet_collapse_variant(self):
         everything = frozenset(range(4))
         facets = [everything - {v} for v in range(4)]

@@ -1,5 +1,7 @@
 """The path-indexed mapping-space engine."""
 
+import time
+
 import pytest
 
 from simphom.delta import (
@@ -15,6 +17,8 @@ from simphom.hom import (
     RegularityViolation,
     _embedded_top_cell,
     _iter_nondegenerate,
+    _maximal_cells,
+    _spans_simplex,
     almost_degenerate_at,
     dim_hom,
     dim_hom_general,
@@ -48,6 +52,7 @@ from simphom.simpset import (
     disjoint_sum,
     horn,
     is_isomorphic,
+    nerve_poset,
     product,
     quotient,
     subcomplex,
@@ -525,3 +530,81 @@ class TestGeneralSource:
         assert len(list(iter_hom_families(source, delta(0), 0))) == 1
         # one vertex of Hom(D^10, D^1) per monotone map [10] -> [1]
         assert len(hom_general(source, delta(1), 0)) == 12
+
+
+class TestEntryPointDegreeChecks:
+    def test_every_entry_point_rejects_a_negative_degree_by_name(self):
+        irregular = collapsed_ball(2)
+        with pytest.raises(ValueError, match="^n must be non-negative, got -1$"):
+            dim_hom(delta(1), -1)
+        with pytest.raises(ValueError, match="^n must be non-negative, got -1$"):
+            dim_hom(irregular, -1, degree_cap=2)
+        with pytest.raises(ValueError, match="^n must be non-negative, got -1$"):
+            hom_complex(delta(1), -1)
+        with pytest.raises(ValueError, match="^p must be non-negative, got -1$"):
+            hom_general(delta(1), delta(1), -1)
+        with pytest.raises(ValueError, match="^p must be non-negative, got -1$"):
+            next(iter_hom_families(delta(0), irregular, -1))
+        with pytest.raises(ValueError, match="^n must be non-negative, got -1$"):
+            next(iter_hom_simplices(delta(1), -1, 0))
+
+    def test_additive_bound_covers_empty_sources_and_targets(self):
+        void = SimplicialSet([], {})
+        for source, target in [
+            (delta(1), void),
+            (boundary_delta(2), void),
+            (void, void),
+            (void, delta(2)),
+        ]:
+            bound = theorem1bis_bound(source, target)
+            assert bound >= dim_hom_general(source, target).value
+            assert bound >= -1
+        assert theorem1bis_bound(delta(1), void) == -1
+        assert theorem1bis_bound(void, delta(2)) == 0
+
+
+def _chain_nerve(size):
+    names = "abcdefgh"[:size]
+    return nerve_poset(names, [(x, y) for i, x in enumerate(names) for y in names[i + 1:]])
+
+
+class TestStandardSimplexSource:
+    def test_a_simplex_source_answers_as_the_standard_simplex_however_written(self):
+        written = [
+            delta(3),
+            subcomplex(delta(4), ["0,1,2,3"]),
+            _chain_nerve(4),
+        ]
+        targets = [
+            (delta(2), None),
+            (quotient(delta(2), ["0,2"]), None),
+            (collapsed_ball(2), 3),
+        ]
+        for source in written:
+            assert is_isomorphic(source, delta(3))
+            for target, cap in targets:
+                got = dim_hom_general(source, target, degree_cap=cap)
+                assert got == dim_hom(target, 3, degree_cap=cap), (source, target)
+        assert dim_hom_general(written[1], delta(2)) == HomDimension(8, True)
+        assert dim_hom_general(written[1], collapsed_ball(2), 3) == HomDimension(3, False)
+
+    def test_a_subcomplex_presented_simplex_is_fast(self):
+        # the family route took minutes here; the simplex route milliseconds
+        started = time.monotonic()
+        got = dim_hom_general(subcomplex(delta(3), ["0,1,2,3"]), delta(2))
+        assert got == HomDimension(8, True)
+        assert time.monotonic() - started < 5
+
+    def test_a_single_maximal_cell_that_is_no_simplex_keeps_the_family_route(self):
+        source = quotient(delta(2), ["0,2"])
+        (top,) = _maximal_cells(source)
+        assert not _spans_simplex(source, top)
+        target = delta(1)
+        expected = -1
+        for p in range(theorem1bis_bound(source, target), -1, -1):
+            if any(not is_degenerate_family(f) for f in iter_hom_families(source, target, p)):
+                expected = p
+                break
+        assert dim_hom_general(source, target) == HomDimension(expected, True)
+        # the standard 2-simplex would answer differently
+        assert expected == 1 and dim_hom(target, 2).value == 3

@@ -27,7 +27,6 @@ from simphom.simpset import (
     disjoint_sum,
     from_json_dict,
     horn,
-    is_degenerate,
     is_isomorphic,
     nerve_poset,
     product,
@@ -91,8 +90,8 @@ class TestNormalForms:
 
     def test_degenerate_flag(self):
         e = cell_simplex(delta(1).cell("0,1"))
-        assert not is_degenerate(e)
-        assert is_degenerate(delta(1).degeneracy(e, 0))
+        assert not e.is_degenerate
+        assert delta(1).degeneracy(e, 0).is_degenerate
 
 
 class TestAction:
