@@ -21,8 +21,11 @@ Commands run the checkers and computations::
     dump NAME | example tight N Q | example lurie Q A P
 
 ``homdim`` is one :func:`simphom.hom.dim_hom_general` call, which picks its
-route from the cells of the source: a standard simplex, however written
-(``delta 3``, ``sub A by 0 1 2 3``, a chain's nerve), takes the D^n route.
+route from the cells of the source: pieces (a disconnected source answers
+as the sum of its connected pieces), simplex (a standard simplex, however
+written: ``delta 3``, ``sub A by 0 1 2 3``, a chain's nerve), staircase
+(the simplex route over a regular target, (n + 1) * dim X at once) or
+scan (any other source, down from the cap or from |U_0| * dim X).
 
 Each command prints one JSON object per line: ``command``, ``inputs``,
 then ``verdict``/``value`` with optional ``witness`` or ``counts``, and

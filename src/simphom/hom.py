@@ -29,12 +29,15 @@ On top of the encoding this module provides:
   column degenerate), which agree exactly over regular targets;
 * the explicit witness construction that converts a degenerate column
   into an actual degeneracy witness, failing loudly on irregular targets;
-* dimension computation with the (n + 1) * dim X ceiling for regular
-  targets and honest lower bounds otherwise;
+* dimension computation: over a regular target dim Hom(D^n, X) is
+  (n + 1) * dim X, attained by the staircase written into any top cell,
+  and otherwise a capped scan gives an honest lower bound;
 * mapping spaces out of an arbitrary finite source, as compatible
-  families over its cells, searched on its maximal cells alone, with the
-  additive dimension bound; a source whose cells form a standard simplex
-  is answered as Hom(D^n, X), whatever presentation it came in.
+  families over its cells, searched on its maximal cells alone.  Their
+  dimension is read piece by piece over the connected components of the
+  source; a source whose cells form a standard simplex is answered as
+  Hom(D^n, X), whatever presentation it came in, and any other scan over
+  a regular target starts at the vertex bound |U_0| * dim X.
 
 Computing Hom(U, X) leaves X as it was.  Every memo of a search is a local
 of the call that fills it: face buckets and edge verdicts per search;
@@ -67,6 +70,7 @@ from .simpset import (
     _backtrack,
     _face_closure,
     cell_simplex,
+    subcomplex,
 )
 
 
@@ -485,12 +489,6 @@ def _spans_simplex(space, cell):
     return len(_face_closure(space, [cell])) == 2 ** (cell.dim + 1) - 1
 
 
-def _embedded_top_cell(space):
-    """A top-dimensional cell generating a standard-simplex subcomplex."""
-    top = reversed(space.cells_of_dim(space.dim))
-    return next((c for c in top if _spans_simplex(space, c)), None)
-
-
 def staircase_table(n, q):
     """Vertex values of the extremal staircase of degree (n + 1) * q.
 
@@ -509,8 +507,8 @@ def staircase_table(n, q):
 
 def _written_simplex(space, cell, p, n, chain):
     """The p-simplex of Hom(D^n, X) whose value on a path is ``apply_map`` of
-    its vertex values ``chain(path)`` on ``cell``, read as vertices of the
-    standard simplex the cell generates.  A chain that reads a grid of
+    its vertex values ``chain(path)`` on ``cell``, read as the positions
+    0, ..., dim c of the vertices of the cell c.  A chain that reads a grid of
     vertex values at the path's points gives a compatible family."""
     x = cell_simplex(cell)
     values = (MonotoneMap(p + n, cell.dim, chain(path)) for path in all_paths(p, n))
@@ -518,11 +516,11 @@ def _written_simplex(space, cell, p, n, chain):
 
 
 def _staircase_witness(space, cell, n):
-    """The staircase of :func:`staircase_table`, written into the standard
-    simplex embedded as the faces of ``cell``.
+    """The staircase of :func:`staircase_table`, written into ``cell``.
 
-    Consecutive columns differ at a level where the embedded edge is
-    nondegenerate, so no column of the result is fully degenerate.
+    Consecutive columns differ at one level, where the step climbs an
+    elementary edge (a, a + 1) of the cell; over a regular target that
+    edge is nondegenerate, so no column of the result is fully degenerate.
     """
     p = (n + 1) * cell.dim
     table = staircase_table(n, cell.dim)
@@ -545,33 +543,24 @@ def _regular_or_capped(space, degree_cap):
 def dim_hom(space, n, degree_cap=None):
     """Dimension of Hom(D^n, X).
 
-    For a regular target the search starts at (n + 1) * dim X, which is an
-    upper bound, and the answer is exact.  Otherwise a degree cap is
-    required and the result is a lower bound: gaps in the degrees of
-    nondegenerate simplices cannot be ruled out beyond the cap.
+    For a regular target the answer is exactly (n + 1) * dim X.  That is
+    an upper bound, and the staircase written into any top cell attains
+    it: none of its columns is fully degenerate, and a simplex with no
+    fully degenerate column is nondegenerate over any target.  Otherwise
+    a degree cap is required and the scan down from it gives a lower
+    bound: gaps in the degrees of nondegenerate simplices cannot be ruled
+    out beyond the cap.
     """
     _non_negative(n=n)
     if space.dim < 0:
         return HomDimension(-1, True)
-    regular = _regular_or_capped(space, degree_cap)
-    if regular:
-        start = (n + 1) * space.dim
-        cell = _embedded_top_cell(space)
-        if cell is not None:
-            # The ceiling is attained: transplant the extremal staircase
-            # into the embedded standard simplex (nondegeneracy transfers
-            # along subcomplex inclusion) and pair it with the ceiling.
-            _staircase_witness(space, cell, n)
-            return HomDimension(start, True)
-    else:
-        start = degree_cap
-    for p in range(start, -1, -1):
-        f = next(_iter_nondegenerate(space, n, p, regular, prefer_large=True), None)
-        if f is not None:
-            if regular and is_degenerate_hom(f):
-                raise AssertionError("a simplex with no degenerate column tested degenerate")
-            return HomDimension(p, regular)
-    return HomDimension(-1, regular)
+    if _regular_or_capped(space, degree_cap):
+        _staircase_witness(space, space.cells_of_dim(space.dim)[0], n)
+        return HomDimension((n + 1) * space.dim, True)
+    for p in range(degree_cap, -1, -1):
+        if next(_iter_nondegenerate(space, n, p, False, prefer_large=True), None) is not None:
+            return HomDimension(p, False)
+    return HomDimension(-1, False)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +587,18 @@ def _maximal_cells(source):
     then in cell order; every other cell of U is a face of one of them."""
     below = {fs.generator for entries in source.faces.values() for fs in entries}
     return sorted((u for u in source.cells if u not in below), key=lambda u: -u.dim)
+
+
+def _pieces(source):
+    """The cells of each connected component of U, one set per piece."""
+    pieces = []
+    for w in _maximal_cells(source):
+        cells = _face_closure(source, [w])
+        for piece in [piece for piece in pieces if piece & cells]:
+            pieces.remove(piece)
+            cells |= piece
+        pieces.append(cells)
+    return pieces
 
 
 def _family_search(source, space, p, maximal):
@@ -727,29 +728,42 @@ def theorem1bis_bound(source, space):
 def dim_hom_general(source, space, degree_cap=None):
     """Dimension of Hom(U, X), exact for regular X.
 
-    When U is a standard simplex by its cells (one maximal cell w, which
-    spans a simplex), Hom(U, X) is Hom(D^{dim w}, X) and :func:`dim_hom`
-    answers, capped or not.  Otherwise the downward scan starts at the sum of dim Hom(D^{dim w}, X) over the
-    maximal cells w of U: restriction to them embeds the mapping space
-    levelwise into the product of theirs, and a monomorphism keeps
-    nondegenerate simplices nondegenerate, so the dimension is at most the
-    product's, the sum of the factors' dimensions.  Each degree stops at
-    the first nondegenerate family.  Only the maximal components are
-    tested, memoised on (dimension, position, column) for that degree:
-    the others are source-direction reindexings of them, which commute
-    with the simplex-direction retraction.
+    A source in several connected pieces A, B, ... is answered piece by
+    piece: Hom(A + B, X) is Hom(A, X) x Hom(B, X), and a product has
+    nondegenerate simplices exactly in the degrees [max(i, j), i + j] for
+    nondegenerate i-simplices of one factor and j-simplices of the other.
+    Over a nonempty target every piece answers at least 0, so the
+    dimension is the sum of the pieces', cut to the cap when one is needed.
+
+    When a connected U is a standard simplex by its cells (one maximal
+    cell w, which spans a simplex), Hom(U, X) is Hom(D^{dim w}, X) and
+    :func:`dim_hom` answers, capped or not.  Otherwise the scan runs down
+    from the cap, or over a regular target from the vertex bound
+    |U_0| * dim X.  By the column criterion a family is degenerate at k
+    exactly when the edge at k of every vertex component x_u in X_p is
+    degenerate, so each column needs some x_u nondegenerate there.
+    Written x_u = (epi, c), it has at most dim c <= dim X nondegenerate
+    elementary edges, hence p <= |U_0| * dim X.
+
+    Each degree stops at the first nondegenerate family.  Only the maximal
+    components are tested, memoised on (dimension, position, column) for
+    that degree: the others are source-direction reindexings of them,
+    which commute with the simplex-direction retraction.
     """
     if space.dim < 0:
         return HomDimension(0 if not source.cells else -1, True)
+    pieces = _pieces(source)
+    if len(pieces) > 1:
+        parts = [dim_hom_general(subcomplex(source, cells), space, degree_cap) for cells in pieces]
+        total = sum(part.value for part in parts)
+        if all(part.exact for part in parts):
+            return HomDimension(total, True)
+        return HomDimension(min(total, degree_cap), False)
     maximal = _maximal_cells(source)
     if len(maximal) == 1 and _spans_simplex(source, maximal[0]):
         return dim_hom(space, maximal[0].dim, degree_cap)
     regular = _regular_or_capped(space, degree_cap)
-    if regular:
-        top = {d: dim_hom(space, d).value for d in {w.dim for w in maximal}}
-        start = sum(top[w.dim] for w in maximal)
-    else:
-        start = degree_cap
+    start = len(source.cells_of_dim(0)) * space.dim if regular else degree_cap
     for p in range(start, -1, -1):
         component, _, results = _family_search(source, space, p, maximal)
         memo = {}

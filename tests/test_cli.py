@@ -160,6 +160,17 @@ class TestExecution:
         assert [res["value"] for res in results] == [8, 8, 8]
         assert all(res["elapsed_ms"] < 5000 for res in results)
 
+    def test_homdim_adds_the_pieces_of_a_disconnected_source(self):
+        results, ok = run_text(
+            "set A = delta 3\n"
+            "set P = delta 0\n"
+            "set S = sum A P\n"
+            "set T = delta 2\n"
+            "homdim S target T\n"
+        )
+        assert ok
+        assert [res["value"] for res in results] == [10]
+
     def test_homdim_general_source(self):
         results, ok = run_text(
             "set B = boundary 2\nset I = delta 1\nhomdim B target I\n"

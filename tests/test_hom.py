@@ -15,10 +15,10 @@ from simphom.exhibits import corpus
 from simphom.hom import (
     HomDimension,
     RegularityViolation,
-    _embedded_top_cell,
     _iter_nondegenerate,
     _maximal_cells,
     _spans_simplex,
+    _staircase_witness,
     almost_degenerate_at,
     dim_hom,
     dim_hom_general,
@@ -362,7 +362,7 @@ class TestDimension:
         assert dim_hom(delta(9), 0) == HomDimension(9, True)
 
     def test_cell_count_detects_an_embedded_standard_simplex(self):
-        # the count rule of _embedded_top_cell against the isomorphism search
+        # the count rule of _spans_simplex against the isomorphism search
         spaces = [e.space for e in corpus(seed=3, count=80)] + [
             collapsed_ball(3),
             quotient(boundary_delta(3), ["0,1"]),
@@ -371,20 +371,33 @@ class TestDimension:
         checked = 0
         for space in spaces:
             for c in space.cells:
-                sub = subcomplex(space, [c])
-                by_count = len(sub.cells) == 2 ** (c.dim + 1) - 1
-                assert by_count == is_isomorphic(sub, delta(c.dim)), (space, c)
+                slow = is_isomorphic(subcomplex(space, [c]), delta(c.dim))
+                assert _spans_simplex(space, c) == slow, (space, c)
                 checked += 1
-            slow = next(
-                (
-                    c
-                    for c in reversed(space.cells_of_dim(space.dim))
-                    if is_isomorphic(subcomplex(space, [c]), delta(space.dim))
-                ),
-                None,
-            )
-            assert _embedded_top_cell(space) == slow
         assert checked > 900
+
+    def test_the_staircase_in_any_top_cell_of_a_regular_space_is_nondegenerate(self):
+        regular = [e.space for e in corpus(seed=3, count=200) if is_regular(e.space)]
+        no_simplex = []
+        witnesses = 0
+        for space in regular:
+            top = space.cells_of_dim(space.dim)
+            for n in (0, 1, 2):
+                for c in top:
+                    assert is_degenerate_hom(_staircase_witness(space, c, n)) is False
+                    witnesses += 1
+            if not any(_spans_simplex(space, c) for c in top):
+                no_simplex.append(space)
+        assert witnesses == 1359
+        # where no top cell spans a simplex (triangle/long-edge is the
+        # quotient of D^2 by its edge 0,2), the pruned search, the route
+        # dim_hom took there before, still finds the ceiling
+        assert len(no_simplex) == 4
+        for space in no_simplex:
+            for n in (0, 1, 2):
+                p = (n + 1) * space.dim
+                found = next(_iter_nondegenerate(space, n, p, True, prefer_large=True), None)
+                assert found is not None, (space, n)
 
     def test_irregular_cap_gives_lower_bound(self):
         got = dim_hom(collapsed_ball(3), 1, degree_cap=4)
@@ -608,3 +621,40 @@ class TestStandardSimplexSource:
         assert dim_hom_general(source, target) == HomDimension(expected, True)
         # the standard 2-simplex would answer differently
         assert expected == 1 and dim_hom(target, 2).value == 3
+
+
+def _slow_top_degree(source, target, start):
+    """The first degree from ``start`` down with a nondegenerate family."""
+    for p in range(start, -1, -1):
+        if any(not is_degenerate_family(f) for f in iter_hom_families(source, target, p)):
+            return p
+    return -1
+
+
+class TestVertexBound:
+    def test_a_disconnected_source_answers_as_the_sum_of_its_pieces(self):
+        # the family search over the whole source took minutes and more
+        started = time.monotonic()
+        got = dim_hom_general(disjoint_sum(delta(3), delta(0)), delta(2))
+        assert got == HomDimension(8 + 2, True)
+        assert time.monotonic() - started < 5
+
+    def test_a_disconnected_source_under_a_cap_matches_the_slow_scan(self):
+        source = disjoint_sum(delta(1), delta(0))
+        for cap in (2, 3):
+            expected = _slow_top_degree(source, collapsed_ball(2), cap)
+            got = dim_hom_general(source, collapsed_ball(2), degree_cap=cap)
+            assert got == HomDimension(expected, False), cap
+
+    def test_a_directed_vertex_cycle_stays_below_the_vertex_bound(self):
+        # the vertices * and 1 of D^2/(0,2) form a directed cycle
+        source = quotient(delta(2), ["0,2"])
+        target = delta(2)
+        assert len(source.cells_of_dim(0)) * target.dim == 4
+        # the additive bound (18 here) would list 681,835 simplices of
+        # Hom(D^2, D^2) at its top degree alone, so the slow scan starts
+        # at the product bound over the one maximal cell, (2 + 1) * 2
+        (top,) = _maximal_cells(source)
+        expected = _slow_top_degree(source, target, (top.dim + 1) * target.dim)
+        assert expected == 2
+        assert dim_hom_general(source, target) == HomDimension(expected, True)
