@@ -30,9 +30,11 @@ scan (any other source, down from the cap or from |U_0| * dim X).
 Each command prints one JSON object per line: ``command``, ``inputs``,
 then ``verdict``/``value`` with optional ``witness`` or ``counts``, and
 ``elapsed_ms``.  A false verdict is a successful run.  A script that
-cannot be read or parsed exits with status 2 before any command runs; a
-binding or command that fails, for any reason, becomes an object with an
-``error`` field, the remaining lines still run, and the exit status is 1.
+cannot be read (a missing file, or one that is not valid UTF-8) or parsed
+exits with status 2 before any command runs; a binding or command that
+fails, for any reason, becomes an object with an ``error`` field, the
+remaining lines still run, and the exit status is 1.  A negative
+``--max-degree`` is such a failure of each command that receives it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .delta import MonotoneMap
 from .exhibits import lurie_family, tight_simplex
 from .hom import dim_hom_general, enumerate_hom_simplices, is_degenerate_hom
 from .paths import all_paths
@@ -52,7 +53,6 @@ from .regularity import is_regular, is_strongly_regular, satisfies_pr
 from .simpset import (
     CellId,
     FormalSimplex,
-    SimplicialSet,
     boundary_delta,
     delta,
     disjoint_sum,
@@ -84,7 +84,6 @@ class Statement:
     kind: str
     args: tuple
     line: int
-    text: str
 
 
 @dataclass(frozen=True)
@@ -131,9 +130,14 @@ class _Cursor:
             self.error("expected %s (a number), got '%s'" % (what, tok), at=col)
         return int(tok)
 
-    def name(self, what="a name"):
-        tok, col = self.next(what)
-        return tok, col
+    def cap(self):
+        """The optional trailing ``cap C`` (None without one); ends the line."""
+        cap = None
+        if self.pos < len(self.tokens):
+            self.expect("cap")
+            cap = self.integer("a cap")
+        self.done()
+        return cap
 
     def done(self):
         if self.pos < len(self.tokens):
@@ -165,37 +169,24 @@ def _parse_cells(raw, lineno, col):
 
 
 def _parse_binding(cur, line):
-    name, name_col = cur.name("a set name")
+    """The ``(name, expression)`` of a binding, read after ``set``."""
+    name, name_col = cur.next("a set name")
     if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_\-]*", name):
         cur.error("invalid set name %r" % (name,), at=name_col)
     cur.expect("=")
-    head, head_col = cur.name("a constructor")
-    if head == "delta":
-        n = cur.integer("a dimension")
-        cur.done()
-        return ("delta", n)
-    if head == "boundary":
-        n = cur.integer("a dimension")
-        cur.done()
-        return ("boundary", n)
-    if head == "horn":
-        n = cur.integer("a dimension")
-        k = cur.integer("a horn index")
-        cur.done()
-        return ("horn", n, k)
-    if head in ("product", "sum", "union"):
-        a, _ = cur.name("a set name")
-        b, _ = cur.name("a set name")
-        cur.done()
-        return (head, a, b)
-    if head in ("quotient", "sub"):
-        base, _ = cur.name("a set name")
+    head, head_col = cur.next("a constructor")
+    if head in ("delta", "boundary"):
+        expr = (head, cur.integer("a dimension"))
+    elif head == "horn":
+        expr = (head, cur.integer("a dimension"), cur.integer("a horn index"))
+    elif head in ("product", "sum", "union"):
+        expr = (head, cur.next("a set name")[0], cur.next("a set name")[0])
+    elif head in ("quotient", "sub"):
+        base, _ = cur.next("a set name")
         by_col = cur.expect("by")
-        rest = line[by_col + 1:].strip()
-        cells = _parse_cells(rest, cur.lineno, by_col + 3)
+        expr = (head, base, _parse_cells(line[by_col + 1:], cur.lineno, by_col + 3))
         cur.pos = len(cur.tokens)  # the remainder was consumed as raw text
-        return (head, base, cells)
-    if head == "nerve":
+    elif head == "nerve":
         rest = line[head_col + len(head) - 1:].strip()
         m = re.fullmatch(r"\{(.*)\}", rest)
         if m is None:
@@ -210,67 +201,58 @@ def _parse_binding(cur, line):
                 pairs.append((parts[0], parts[1]))
             else:
                 singles.append(tok)
+        expr = (head, tuple(pairs), tuple(singles))
         cur.pos = len(cur.tokens)
-        return ("nerve", tuple(pairs), tuple(singles))
-    cur.error("unknown constructor %r" % (head,), at=head_col)
+    else:
+        cur.error("unknown constructor %r" % (head,), at=head_col)
+    cur.done()
+    return name, expr
 
 
-def _parse_command(cur):
-    head, head_col = cur.name("a command")
+def _parse_command(cur, line):
+    head, head_col = cur.next("a command")
+    if head == "set":
+        return "set", _parse_binding(cur, line)
     if head == "check":
-        what, what_col = cur.name("a property")
-        if what == "regular":
-            name, _ = cur.name("a set name")
+        what, what_col = cur.next("a property")
+        if what in ("regular", "strongly-regular"):
+            name, _ = cur.next("a set name")
             cur.done()
-            return ("check-regular", (name,))
-        if what == "strongly-regular":
-            name, _ = cur.name("a set name")
-            cur.done()
-            return ("check-strongly-regular", (name,))
+            return "check-" + what, (name,)
         if what == "P":
             r = cur.integer("a width r")
-            name, _ = cur.name("a set name")
-            cap = None
-            if cur.pos < len(cur.tokens):
-                cur.expect("cap")
-                cap = cur.integer("a cap")
-            cur.done()
-            return ("check-P", (r, name, cap))
+            name, _ = cur.next("a set name")
+            return "check-P", (r, name, cur.cap())
         cur.error("unknown property %r" % (what,), at=what_col)
     if head == "homdim":
-        source, _ = cur.name("a source set name")
+        source, _ = cur.next("a source set name")
         cur.expect("target")
-        target, _ = cur.name("a target set name")
-        cap = None
-        if cur.pos < len(cur.tokens):
-            cur.expect("cap")
-            cap = cur.integer("a cap")
-        cur.done()
-        return ("homdim", (source, target, cap))
+        target, _ = cur.next("a target set name")
+        return "homdim", (source, target, cur.cap())
     if head == "homcount":
         n = cur.integer("a source dimension n")
         p = cur.integer("a degree p")
         cur.expect("target")
-        target, _ = cur.name("a target set name")
+        target, _ = cur.next("a target set name")
         cur.done()
-        return ("homcount", (n, p, target))
+        return "homcount", (n, p, target)
     if head == "dump":
-        name, _ = cur.name("a set name")
+        name, _ = cur.next("a set name")
         cur.done()
-        return ("dump", (name,))
+        return "dump", (name,)
     if head == "example":
-        which, which_col = cur.name("an example name")
+        which, which_col = cur.next("an example name")
         if which == "tight":
             n = cur.integer("n")
             q = cur.integer("q")
             cur.done()
-            return ("example-tight", (n, q))
+            return "example-tight", (n, q)
         if which == "lurie":
             q = cur.integer("q")
             a = cur.integer("a")
             p = cur.integer("p")
             cur.done()
-            return ("example-lurie", (q, a, p))
+            return "example-lurie", (q, a, p)
         cur.error("unknown example %r" % (which,), at=which_col)
     cur.error("unknown command %r" % (head,), at=head_col)
 
@@ -280,18 +262,9 @@ def parse_script(text):
     statements = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        tokens = _tokens(line)
-        cur = _Cursor(tokens, lineno)
-        if tokens[0][0] == "set":
-            cur.pos = 1
-            name, name_col = tokens[1] if len(tokens) > 1 else (None, 1)
-            expr = _parse_binding(cur, line)
-            statements.append(Statement("set", (name, expr), lineno, line))
-        else:
-            kind, args = _parse_command(cur)
-            statements.append(Statement(kind, args, lineno, line))
+        if line.strip():
+            kind, args = _parse_command(_Cursor(_tokens(line), lineno), line)
+            statements.append(Statement(kind, args, lineno))
     return Script(tuple(statements))
 
 
@@ -300,30 +273,21 @@ def parse_script(text):
 # ---------------------------------------------------------------------------
 
 def _build(expr, env, stmt):
-    head = expr[0]
-    if head == "delta":
-        return delta(expr[1])
-    if head == "boundary":
-        return boundary_delta(expr[1])
-    if head == "horn":
-        return horn(expr[1], expr[2])
+    head, *rest = expr
+    # looked up at call time, so that a patched constructor is the one used
+    literal = {"delta": delta, "boundary": boundary_delta, "horn": horn}
+    if head in literal:
+        return literal[head](*rest)
     if head in ("product", "sum", "union"):
-        a = _lookup(expr[1], env, stmt)
-        b = _lookup(expr[2], env, stmt)
         maker = {"product": product, "sum": disjoint_sum, "union": union}[head]
-        return maker(a, b)
-    if head == "quotient":
-        base = _lookup(expr[1], env, stmt)
-        return quotient(base, _resolve_cells(base, expr[2], stmt))
-    if head == "sub":
-        base = _lookup(expr[1], env, stmt)
-        return subcomplex(base, _resolve_cells(base, expr[2], stmt))
-    if head == "nerve":
-        pairs, singles = expr[1], expr[2]
-        carrier = sorted({x for pair in pairs for x in pair} | set(singles))
-        closed = transitive_closure(pairs)
-        return nerve_poset(carrier, sorted(closed))
-    raise AssertionError("unreachable constructor %r" % (head,))
+        return maker(*(_lookup(name, env, stmt) for name in rest))
+    if head in ("quotient", "sub"):
+        base = _lookup(rest[0], env, stmt)
+        maker = quotient if head == "quotient" else subcomplex
+        return maker(base, _resolve_cells(base, rest[1], stmt))
+    pairs, singles = rest
+    carrier = sorted({x for pair in pairs for x in pair} | set(singles))
+    return nerve_poset(carrier, sorted(transitive_closure(pairs)))
 
 
 def _lookup(name, env, stmt):
@@ -346,10 +310,6 @@ def _json_value(value):
         return value.token()
     if isinstance(value, CellId):
         return value.name
-    if isinstance(value, MonotoneMap):
-        return list(value.values)
-    if isinstance(value, SimplicialSet):
-        return repr(value)
     if isinstance(value, (tuple, list)):
         return [_json_value(v) for v in value]
     return value
@@ -367,19 +327,22 @@ def _dimension_value(result):
 
 
 def _run_command(stmt, env, options):
+    """The body of a command's result line; a binding binds and returns None."""
     kind, args = stmt.kind, stmt.args
-    max_degree = options.get("max_degree")
-    if kind == "check-regular":
-        space = _lookup(args[0], env, stmt)
-        return {"inputs": {"set": args[0]}, **_report(is_regular(space))}
-    if kind == "check-strongly-regular":
-        space = _lookup(args[0], env, stmt)
-        return {"inputs": {"set": args[0]}, **_report(is_strongly_regular(space))}
+    if kind in ("check-P", "homdim") and args[-1] is None:
+        args = args[:-1] + (options["max_degree"],)
+    if kind == "set":
+        name, expr = args
+        if name in env:
+            raise ScriptError("name %r is already bound" % (name,), stmt.line, 1)
+        env[name] = _build(expr, env, stmt)
+        return None
+    if kind in ("check-regular", "check-strongly-regular"):
+        check = is_regular if kind == "check-regular" else is_strongly_regular
+        return {"inputs": {"set": args[0]}, **_report(check(_lookup(args[0], env, stmt)))}
     if kind == "check-P":
         r, name, cap = args
         space = _lookup(name, env, stmt)
-        if cap is None:
-            cap = max_degree
         return {
             "inputs": {"r": r, "set": name, "cap": cap},
             **_report(satisfies_pr(space, r, degree_cap=cap)),
@@ -388,8 +351,6 @@ def _run_command(stmt, env, options):
         source_name, target_name, cap = args
         source = _lookup(source_name, env, stmt)
         target = _lookup(target_name, env, stmt)
-        if cap is None:
-            cap = max_degree
         result = dim_hom_general(source, target, degree_cap=cap)
         return {
             "inputs": {"source": source_name, "target": target_name, "cap": cap},
@@ -404,7 +365,7 @@ def _run_command(stmt, env, options):
             "inputs": {"n": n, "p": p, "target": target_name},
             "counts": {"total": len(simplices), "nondegenerate": nondegenerate},
         }
-        if options.get("dump_hom"):
+        if options["dump_hom"]:
             words = [path.word for path in all_paths(p, n)]
             out["assignments"] = [
                 {w: f.values[i].token() for i, w in enumerate(words)}
@@ -451,45 +412,30 @@ def _error_text(exc):
 def run(script, max_degree=None, dump_hom=False):
     """Execute a parsed script; returns (results, ok).
 
-    ``results`` is one dict per command in order; command failures, of
-    any exception type, become objects with an ``error`` field and make
-    ``ok`` false (a false verdict does not).
+    ``results`` is one dict per command, and one per binding that failed,
+    in order; failures, of any exception type, become objects with an
+    ``error`` field and make ``ok`` false (a false verdict does not).
     """
     env = {}
     results = []
     ok = True
     options = {"max_degree": max_degree, "dump_hom": dump_hom}
     for stmt in script.statements:
-        if stmt.kind == "set":
-            name, expr = stmt.args
-            started = time.monotonic()
-            try:
-                if name in env:
-                    raise ScriptError(
-                        "name %r is already bound" % (name,), stmt.line, 1
-                    )
-                env[name] = _build(expr, env, stmt)
-            except Exception as exc:
-                ok = False
-                results.append(
-                    {
-                        "command": "set",
-                        "inputs": {"name": name},
-                        "error": _error_text(exc),
-                        "elapsed_ms": int((time.monotonic() - started) * 1000),
-                    }
-                )
-            continue
         started = time.monotonic()
-        base = {"command": stmt.kind.replace("-", " ")}
+        out = {"command": stmt.kind.replace("-", " ")}
+        if stmt.kind == "set":
+            out["inputs"] = {"name": stmt.args[0]}
         try:
             body = _run_command(stmt, env, options)
-            base.update(body)
         except Exception as exc:
             ok = False
-            base["error"] = _error_text(exc)
-        base["elapsed_ms"] = int((time.monotonic() - started) * 1000)
-        results.append(base)
+            out["error"] = _error_text(exc)
+        else:
+            if body is None:
+                continue
+            out.update(body)
+        out["elapsed_ms"] = int((time.monotonic() - started) * 1000)
+        results.append(out)
     return results, ok
 
 
@@ -534,15 +480,15 @@ def main(argv=None):
         help="include full path assignments in homcount output",
     )
     args = parser.parse_args(argv)
-    if args.script == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.script == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.script, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            print("cannot read script: %s" % (exc,), file=sys.stderr)
-            return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print("cannot read script: %s" % (exc,), file=sys.stderr)
+        return 2
     try:
         script = parse_script(text)
     except ScriptError as exc:

@@ -206,9 +206,10 @@ def _search(space, n, p, prefer_large, doomed=None):
 
 
 def _non_negative(**degrees):
-    """Reject a negative source dimension n or simplex degree p by name."""
+    """Reject a negative source dimension n, simplex degree p or degree cap
+    by name; an absent cap (None) passes."""
     for name, value in degrees.items():
-        if value < 0:
+        if value is not None and value < 0:
             raise ValueError("%s must be non-negative, got %d" % (name, value))
 
 
@@ -437,27 +438,25 @@ def _column_doom(space, n, p):
 
     The edges over column k are read off n + 1 specific paths, so as soon
     as the last of them is assigned and every edge over the column turned
-    out degenerate, no completion of the branch lacks such a column.
+    out degenerate, no completion of the branch lacks such a column.  The
+    target is regular, so the edge (s, s + 1) of a simplex (epi, c) is
+    degenerate exactly when epi repeats at s: otherwise it is the
+    elementary edge epi(s) of the nondegenerate c, which regularity keeps
+    nondegenerate.  So each test compares two collapse values.
     """
     index = path_index(p, n)
     canon = [[index[_turning_word(k, j, p, n)] for j in range(n + 1)] for k in range(p)]
     triggers = [[] for _ in index]
     for k in range(p):
         triggers[max(canon[k])].append(k)
-    simplices = space.simplices(p + n)
-    edge_memo = {}
-
-    def edge_degenerate(z, start):
-        key = (z, start)
-        hit = edge_memo.get(key)
-        if hit is None:
-            hit = space.apply_map(edge_map(start, 1, p + n), simplices[z]).is_degenerate
-            edge_memo[key] = hit
-        return hit
+    values = [x.epi.values for x in space.simplices(p + n)]
 
     def doomed(m, assign):
         for k in triggers[m]:
-            if all(edge_degenerate(assign[canon[k][j]], k + j) for j in range(n + 1)):
+            if all(
+                values[assign[canon[k][j]]][k + j] == values[assign[canon[k][j]]][k + j + 1]
+                for j in range(n + 1)
+            ):
                 return True
         return False
 
@@ -551,7 +550,7 @@ def dim_hom(space, n, degree_cap=None):
     bound: gaps in the degrees of nondegenerate simplices cannot be ruled
     out beyond the cap.
     """
-    _non_negative(n=n)
+    _non_negative(n=n, degree_cap=degree_cap)
     if space.dim < 0:
         return HomDimension(-1, True)
     if _regular_or_capped(space, degree_cap):
@@ -750,6 +749,7 @@ def dim_hom_general(source, space, degree_cap=None):
     that degree: the others are source-direction reindexings of them,
     which commute with the simplex-direction retraction.
     """
+    _non_negative(degree_cap=degree_cap)
     if space.dim < 0:
         return HomDimension(0 if not source.cells else -1, True)
     pieces = _pieces(source)
@@ -797,7 +797,7 @@ def hom_complex(space, n, degree_cap=None):
     Returns ``(complex, legend)`` where legend maps cell ids back to the
     nondegenerate HomSimplex they present.
     """
-    _non_negative(n=n)
+    _non_negative(n=n, degree_cap=degree_cap)
     regular = _regular_or_capped(space, degree_cap)
     # an empty target gives a negative top, so no degree is listed
     top = (n + 1) * space.dim if regular else degree_cap

@@ -228,10 +228,7 @@ class SimplicialSet:
                 if c.dim > degree:
                     continue
                 for repeats in combinations(range(degree), degree - c.dim):
-                    epi = word_to_surjection(
-                        SurjectionWord(degree, tuple(reversed(repeats)))
-                    )
-                    out.append(FormalSimplex(epi, c))
+                    out.append(FormalSimplex(surjection_from_repeats(degree, repeats), c))
             cached = tuple(out)
             self._simplex_cache[degree] = cached
         return cached

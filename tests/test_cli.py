@@ -1,12 +1,18 @@
 """The script interface: parsing, execution, output shape, exit codes."""
 
+import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from simphom import cli
 from simphom.cli import ScriptError, main, parse_script, run
 from simphom.simpset import delta, from_json_dict, is_isomorphic, quotient
+
+
+GOLDEN = Path(__file__).resolve().parent / "cli_golden"
 
 
 def run_text(text, **kw):
@@ -70,6 +76,17 @@ class TestParsing:
     def test_missing_integer(self):
         with pytest.raises(ScriptError):
             parse_script("set D = delta x\n")
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("homdim A target B cap 3 extra", 25), ("check P 1 A cap 2 extra", 19)],
+    )
+    def test_trailing_input_after_a_cap(self, text, column):
+        with pytest.raises(ScriptError) as err:
+            parse_script(text + "\n")
+        assert str(err.value) == "line 1, column %d: unexpected trailing input 'extra'" % (
+            column,
+        )
 
 
 class TestExecution:
@@ -292,6 +309,52 @@ class TestMain:
         assert lines[1]["error"] == "RuntimeError: boom"
         assert "error" not in lines[2]
 
+    def test_golden_transcript(self, capsys):
+        """Every binding form and command, a cap on the line, the
+        --max-degree fallback and three failures, as recorded JSON text
+        with the timing dropped, so key order is pinned too."""
+        code = main([str(GOLDEN / "transcript.txt"), "--max-degree", "2", "--dump-hom"])
+        lines = []
+        for line in capsys.readouterr().out.splitlines():
+            line, timed = re.subn(r', "elapsed_ms": \d+\}$', "}", line)
+            assert timed == 1
+            lines.append(line)
+        assert code == 1
+        assert lines == (GOLDEN / "transcript.jsonl").read_text(encoding="utf-8").splitlines()
+
+    def test_negative_max_degree_is_an_error_line(self, tmp_path, capsys):
+        path = self.write(
+            tmp_path,
+            "set I = delta 1\n"
+            "set D = delta 2\n"
+            "set X = quotient D by 0 1; 0 2; 1 2\n"
+            "homdim I target X\n"
+            "check P 1 X\n",
+        )
+        code = main([path, "--max-degree", "-2"])
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        assert [r["command"] for r in lines] == ["homdim", "check P"]
+        assert lines[0]["error"] == "degree_cap must be non-negative, got -2"
+        assert all("error" in r for r in lines)
+
+    def test_script_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "script.txt"
+        path.write_bytes(b"set D = delta 2\n\xff\n")
+        code = main([str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("cannot read script: ")
+
+    def test_stdin_that_is_not_utf8(self, monkeypatch, capsys):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code = main([])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("cannot read script: ")
+
     def test_missing_file(self, capsys):
         code = main(["/nonexistent/script.txt"])
         assert code == 2
@@ -304,8 +367,6 @@ class TestMain:
         assert "== homcount" in out and "counts" in out
 
     def test_stdin_script(self, monkeypatch, capsys):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("set D = delta 1\ndump D\n"))
         code = main([])
         assert code == 0

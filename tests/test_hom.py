@@ -560,6 +560,16 @@ class TestEntryPointDegreeChecks:
             next(iter_hom_families(delta(0), irregular, -1))
         with pytest.raises(ValueError, match="^n must be non-negative, got -1$"):
             next(iter_hom_simplices(delta(1), -1, 0))
+        ball = quotient(delta(3), [c.name for c in boundary_delta(3).cells])
+        cap_message = "^degree_cap must be non-negative, got -3$"
+        with pytest.raises(ValueError, match=cap_message):
+            dim_hom_general(disjoint_sum(delta(1), delta(0)), ball, degree_cap=-3)
+        with pytest.raises(ValueError, match=cap_message):
+            dim_hom_general(delta(1), SimplicialSet([], {}), degree_cap=-3)
+        with pytest.raises(ValueError, match=cap_message):
+            dim_hom(ball, 1, degree_cap=-3)
+        with pytest.raises(ValueError, match=cap_message):
+            hom_complex(ball, 1, degree_cap=-3)
 
     def test_additive_bound_covers_empty_sources_and_targets(self):
         void = SimplicialSet([], {})
