@@ -216,8 +216,10 @@ def hom1_degeneracy_test(f, k):
     A width-p simplex of Hom(D^1, X) is the k-th degeneracy of some
     width-(p-1) simplex exactly when every component over a crossing at
     u <= k collapses at position k + 1 and every component over a crossing
-    at u > k collapses at position k.  Independent of the general
-    retraction machinery; valid for every target.
+    at u > k collapses at position k.  This is the n = 1 case of the rule
+    behind ``hom.is_degenerate_hom`` (the path crossing at u steps across
+    column k at k + 1 when u <= k, at k otherwise), written separately so
+    the two can check each other; valid for every target.
     """
     if not isinstance(f, HomSimplex):
         raise TypeError("expected a mapping-space simplex")

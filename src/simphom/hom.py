@@ -23,9 +23,10 @@ On top of the encoding this module provides:
   monotone map, in both grid directions), each reindex following a plan
   worked out once per shape: for every small path, the index of its
   lifted path and the step map to pull back along;
-* degeneracy detection, both the generic retraction test (one reindex
-  per column, compared path by path and stopped at the first path that
-  differs) and the cheap column test (all horizontal edges over one
+* degeneracy detection, both the generic test read off collapse values
+  (f is the k-th degeneracy of some simplex exactly when, on every path,
+  the collapse of its value repeats at the path's step across column k;
+  no reindex) and the cheap column test (all horizontal edges over one
   column degenerate), which agree exactly over regular targets;
 * the explicit witness construction that converts a degenerate column
   into an actual degeneracy witness, failing loudly on irregular targets;
@@ -42,7 +43,7 @@ On top of the encoding this module provides:
 Computing Hom(U, X) leaves X as it was.  Every memo of a search is a local
 of the call that fills it: face buckets and edge verdicts per search;
 simplex lists, source reindexes and candidate buckets per family search;
-degeneracy verdicts per degree of :func:`dim_hom_general`.  Only the
+degenerate column sets per degree of :func:`dim_hom_general`.  Only the
 reindex plans outlive a call, in one process-wide ``lru_cache`` entry per
 grid shape ever reindexed, as do the ``lru_cache`` tables of ``paths``
 and ``delta``.
@@ -52,14 +53,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .delta import (
     MonotoneMap,
-    compose_monotone,
     degeneracy_map,
     edge_map,
     face_map,
     identity_map,
+    surjection_from_repeats,
 )
 from .paths import LatticePath, all_paths, flip_constraints, merged_split, path_index
 from .regularity import is_regular
@@ -324,52 +326,68 @@ def almost_degenerate_at(f, k):
     return all(edge_restriction(f, k, j).is_degenerate for j in range(f.height + 1))
 
 
-@lru_cache(maxsize=None)
-def _retraction_plan(k, p, n):
-    """The reindex plan along [p] -> [p] sending k to k + 1, fixing the rest."""
-    theta = compose_monotone(face_map(k, p), degeneracy_map(k, p - 1))
-    return _reindex_plan(theta, identity_map(n))
+def _degenerate_columns(f):
+    """The columns k at which f is the k-th degeneracy of some simplex.
 
+    Column k qualifies exactly when, on every lattice path m, the collapse
+    of f(m) repeats at s_m, the index of m's horizontal step from column k
+    to k + 1.  This holds over any target, regular or not.  The horizontal
+    steps of the paths, in ``all_paths`` order, are
+    ``combinations(range(p + n), p)``, so column k's steps are the k-th
+    entries of those tuples.
 
-def _retracts_at(f, k):
-    """Whether f equals the k-th degeneracy of its own k-th face.
+    (=>) s_k g is the reindex of g along sigma_k x id, and along m that
+    map is the degeneracy at s_m: f(m) = s_{s_m} g(m'), where m' is m with
+    its step s_m deleted, and its collapse repeats at s_m.
 
-    By functoriality that composite is the reindex of f along the map
-    [p] -> [p] sending k to k + 1 and fixing everything else, so one
-    reindex suffices, compared path by path and abandoned at the first
-    path that differs.
+    (<=) The paths over one path m' of the (p - 1, n) grid differ only in
+    the ordinate t at which they cross column k; m_t steps at s = k + t.
+    The paths m_t and m_{t+1} differ at the point k + t + 1 alone, so
+    their flip condition is d_{k+t+1} f(m_t) = d_{k+t+1} f(m_{t+1}).  A
+    simplex that repeats at s has d_s = d_{s+1}, so this reads
+    d_{k+t} f(m_t) = d_{k+t+1} f(m_{t+1}).  Hence g(m') = d_{s_m} f(m) is
+    well defined, and f(m) = s_{s_m} g(m') on every path.  g is
+    compatible, as the flip conditions of f pass through the injective
+    degeneracies; indeed g is the k-th face of f, whose plan reads m'
+    through its lift crossing column k at the bottom of its run.  So
+    f = s_k g.
+
+    For n = 1 this is ``exhibits.hom1_degeneracy_test``.  Only collapse
+    values are read: no ``apply_map`` and no reindex.
     """
-    apply_map, values = f.space.apply_map, f.values
-    for m, (i, psi) in enumerate(_retraction_plan(k, f.width, f.height)):
-        if apply_map(psi, values[i]) != values[m]:
-            return False
-    return True
+    p, n = f.width, f.height
+    collapses = [x.epi.values for x in f.values]
+    return {
+        k
+        for k, steps in enumerate(zip(*combinations(range(p + n), p)))
+        if all(v[s] == v[s + 1] for v, s in zip(collapses, steps))
+    }
 
 
 def is_degenerate_hom(f):
-    """Generic retraction test: f equals some degeneracy of some face of f."""
-    for k in range(f.width):
-        if _retracts_at(f, k):
-            return True
-    return False
+    """Whether f is a degeneracy of some simplex: some column of
+    :func:`_degenerate_columns` qualifies.  Valid over any target."""
+    return bool(_degenerate_columns(f))
+
+
+def _first_section(epi):
+    """The section of a surjection sending each value to its first preimage."""
+    return MonotoneMap(epi.target, epi.source, tuple(map(epi.values.index, range(epi.target + 1))))
 
 
 def normalize_hom(f):
-    """Split f as (collapse word, nondegenerate core).
+    """Split f as (collapse word, nondegenerate core), with f = eps^* core.
 
-    Splits off one degeneracy at a time, always at the first column where
-    the current simplex retracts, in a loop rather than by recursion, so
-    no width is too large.
+    By Eilenberg-Zilber the collapse eps of f repeats exactly at the
+    degenerate columns of f, and the core is f reindexed along the
+    first-preimage section of eps.  A nondegenerate f comes back as
+    ``(identity_map(p), f)``, itself, with no reindex.
     """
-    eps = identity_map(f.width)
-    while True:
-        for k in range(f.width):
-            if _retracts_at(f, k):
-                f = hom_face(f, k)
-                eps = compose_monotone(degeneracy_map(k, f.width), eps)
-                break
-        else:
-            return eps, f
+    columns = _degenerate_columns(f)
+    if not columns:
+        return identity_map(f.width), f
+    eps = surjection_from_repeats(f.width, columns)
+    return eps, hom_reindex(f, _first_section(eps))
 
 
 def lemma4_witness(space, f, k):
@@ -470,7 +488,8 @@ def _iter_nondegenerate(space, n, p, regular, prefer_large=False):
     regular target the converse holds too (checked exhaustively
     elsewhere), so the search prunes every branch as soon as one of its
     columns is fully degenerate and keeps all it yields.  Over any other
-    target each simplex is settled by the retraction test.
+    target each simplex is settled by :func:`is_degenerate_hom`, which
+    reads its collapse values.
     """
     if regular:
         return _search(space, n, p, prefer_large, _column_doom(space, n, p))
@@ -635,10 +654,8 @@ def _family_search(source, space, p, maximal):
 
     def steps(u):
         for i, fs in enumerate(source.faces[u]):
-            epi, section = fs.epi, None
-            if not epi.is_identity:
-                first = tuple(map(epi.values.index, range(epi.target + 1)))
-                section = MonotoneMap(epi.target, epi.source, first)
+            epi = fs.epi
+            section = None if epi.is_identity else _first_section(epi)
             yield face_map(i, u.dim), epi, section, index[fs.generator]
 
     walk = [tuple(steps(u)) for u in cells]
@@ -714,8 +731,9 @@ def hom_general(source, space, p):
 
 
 def is_degenerate_family(family):
-    """Degeneracy of a family is simultaneous componentwise degeneracy."""
-    return any(all(_retracts_at(f, k) for f in family.values) for k in range(family.width))
+    """Degeneracy of a family is simultaneous componentwise degeneracy:
+    some column is among the :func:`_degenerate_columns` of every value."""
+    return bool(set(range(family.width)).intersection(*map(_degenerate_columns, family.values)))
 
 
 def theorem1bis_bound(source, space):
@@ -744,10 +762,11 @@ def dim_hom_general(source, space, degree_cap=None):
     Written x_u = (epi, c), it has at most dim c <= dim X nondegenerate
     elementary edges, hence p <= |U_0| * dim X.
 
-    Each degree stops at the first nondegenerate family.  Only the maximal
-    components are tested, memoised on (dimension, position, column) for
-    that degree: the others are source-direction reindexings of them,
-    which commute with the simplex-direction retraction.
+    Each degree stops at the first nondegenerate family: one whose maximal
+    components share no degenerate column.  Only the maximal components
+    are read, their column sets memoised on (dimension, position) for that
+    degree: the others are source-direction reindexings of them, which
+    commute with the simplex-direction degeneracies.
     """
     _non_negative(degree_cap=degree_cap)
     if space.dim < 0:
@@ -768,17 +787,17 @@ def dim_hom_general(source, space, degree_cap=None):
         component, _, results = _family_search(source, space, p, maximal)
         memo = {}
 
-        def retracts(d, z, k):
-            hit = memo.get((d, z, k))
+        def columns(d, z):
+            hit = memo.get((d, z))
             if hit is None:
-                hit = memo[d, z, k] = _retracts_at(component(d, z), k)
+                hit = memo[d, z] = _degenerate_columns(component(d, z))
             return hit
 
         for positions in results:
-            if not any(
-                all(retracts(w.dim, z, k) for w, z in zip(maximal, positions))
-                for k in range(p)
-            ):
+            shared = set(range(p)).intersection(
+                *(columns(w.dim, z) for w, z in zip(maximal, positions))
+            )
+            if not shared:
                 return HomDimension(p, regular)
     return HomDimension(-1, regular)
 

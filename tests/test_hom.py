@@ -11,7 +11,7 @@ from simphom.delta import (
     face_map,
     identity_map,
 )
-from simphom.exhibits import corpus
+from simphom.exhibits import corpus, lurie_family
 from simphom.hom import (
     HomDimension,
     RegularityViolation,
@@ -249,21 +249,25 @@ class TestDegeneracy:
                         assert any(almost_degenerate_at(f, k) for k in range(p))
 
     def test_retraction_test_matches_face_then_degeneracy(self):
-        # the slow definition the one-reindex, early-exit test must equal
+        # the slow definition the collapse-value test must equal: f is the
+        # k-th degeneracy of its own k-th face exactly at the repeats of
+        # the collapse that normalize_hom splits off
+        all_facets = [frozenset(range(4)) - {i} for i in range(4)]
         targets = [
             delta(1),
             boundary_delta(2),
             quotient(delta(2), ["0,2"]),  # regular but not strongly so
             collapsed_ball(2),  # irregular
+            collapsed_ball(3),  # irregular
+            lurie_family(4, 3, facets=all_facets)[0],  # irregular
         ]
         for space in targets:
-            for n in (1, 2):
-                for p in range(4):
+            for n in range(4):
+                for p in range(6 - n):
                     for f in enumerate_hom_simplices(space, n, p):
-                        slow = any(
-                            hom_degeneracy(hom_face(f, k), k) == f for k in range(p)
-                        )
-                        assert is_degenerate_hom(f) == slow
+                        slow = {k for k in range(p) if hom_degeneracy(hom_face(f, k), k) == f}
+                        assert is_degenerate_hom(f) == bool(slow)
+                        assert set(normalize_hom(f)[0].repeat_positions()) == slow
 
     def test_pruned_nondegenerate_search_matches_the_retraction_filter(self):
         # the slow reference: every simplex, filtered by the retraction test
@@ -308,6 +312,19 @@ class TestDegeneracy:
                 is_degenerate_hom(f)
                 normalize_hom(f)
         assert set(vars(space)) == own
+
+    def test_degeneracy_verdicts_leave_the_apply_cache_alone(self):
+        for space in [delta(2), collapsed_ball(2)]:
+            simplices = [f for p in range(4) for f in enumerate_hom_simplices(space, 1, p)]
+            before = len(space._apply_cache)
+            for f in simplices:
+                is_degenerate_hom(f)
+            assert len(space._apply_cache) == before
+            families = hom_general(boundary_delta(1), space, 2)
+            before = len(space._apply_cache)
+            for family in families:
+                is_degenerate_family(family)
+            assert len(space._apply_cache) == before
 
     def test_witness_reconstruction_over_regular_target(self):
         space = quotient(delta(2), ["0,2"])  # regular but not strongly so
