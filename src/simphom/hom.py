@@ -15,14 +15,19 @@ On top of the encoding this module provides:
   with the number of paths, and the family search below runs through it
   too.  The search works on integer positions in the target's list of
   (p + n)-simplices: a flip check compares two entries of the target's
-  integer face table, and each result is turned back into target
-  simplices once.  The same search, pruned at the first fully degenerate
-  column over a regular target, streams the nondegenerate simplices that
-  both :func:`dim_hom` and :func:`hom_complex` read;
+  integer face table, and a result keeps its positions, its target
+  simplices built only when ``values`` is first read.  The same search,
+  pruned at the first fully degenerate column over a regular target,
+  streams the nondegenerate simplices that both :func:`dim_hom` and
+  :func:`hom_complex` read;
 * the simplicial structure (faces, degeneracies, reindexing along any
   monotone map, in both grid directions), each reindex following a plan
   worked out once per shape: for every small path, the index of its
-  lifted path and the step map to pull back along;
+  lifted path and the step map to pull back along.  Reindexing works on
+  positions too: each value is the target's
+  :meth:`~simphom.simpset.SimplicialSet.act` by a step map on a position,
+  and so does the column test, which reads the edges under a column the
+  same way;
 * degeneracy detection, both the generic test read off collapse values
   (f is the k-th degeneracy of some simplex exactly when, on every path,
   the collapse of its value repeats at the path's step across column k;
@@ -40,13 +45,16 @@ On top of the encoding this module provides:
   Hom(D^n, X), whatever presentation it came in, and any other scan over
   a regular target starts at the vertex bound |U_0| * dim X.
 
-Computing Hom(U, X) leaves X as it was.  Every memo of a search is a local
-of the call that fills it: face buckets and edge verdicts per search;
-simplex lists, source reindexes and candidate buckets per family search;
-degenerate column sets per degree of :func:`dim_hom_general`.  Only the
-reindex plans outlive a call, in one process-wide ``lru_cache`` entry per
-grid shape ever reindexed, as do the ``lru_cache`` tables of ``paths``
-and ``delta``.
+Computing Hom(U, X) keeps no state of its own on X.  Every memo of a
+search is a local of the call that fills it: face buckets and edge
+verdicts per search; simplex lists, source reindexes and candidate
+buckets per family search; degenerate column sets per degree of
+:func:`dim_hom_general`.  Only the
+reindex plans and the turning paths' indexes outlive a call, in one
+process-wide ``lru_cache`` entry per grid shape, as do the ``lru_cache``
+tables of ``paths`` and ``delta``.  The target's own action rows, filled
+through :meth:`~simphom.simpset.SimplicialSet.act`, belong to the target
+and are documented in ``simpset``.
 """
 
 from __future__ import annotations
@@ -71,6 +79,7 @@ from .simpset import (
     SimplicialSet,
     _backtrack,
     _face_closure,
+    _positions,
     cell_simplex,
     subcomplex,
 )
@@ -88,17 +97,65 @@ class RegularityViolation(Exception):
         self.offender = offender
 
 
-@dataclass(frozen=True)
+class _Positions(tuple):
+    """The values of a :class:`HomSimplex` given as positions in the
+    target's list of (width + height)-simplices."""
+
+
 class HomSimplex:
     """A p-simplex of Hom(D^height, X): one target simplex per lattice path.
 
-    ``values`` is aligned with ``all_paths(width, height)``.
+    ``values`` is aligned with ``all_paths(width, height)``, and
+    ``positions`` holds the same simplices as positions in
+    ``space.simplices(width + height)``.  Each is derived from the other on
+    first read: the search and the reindexes hand over positions and build
+    no simplex, the public constructor takes values.  Equality and hash
+    read ``(space, width, height, positions)``, which is equivalent to
+    comparing values.
     """
 
-    space: SimplicialSet
-    width: int
-    height: int
-    values: tuple
+    __slots__ = ("space", "width", "height", "_values", "_positions")
+
+    def __init__(self, space, width, height, values):
+        self.space = space
+        self.width = width
+        self.height = height
+        if isinstance(values, _Positions):
+            self._values, self._positions = None, values
+        else:
+            self._values, self._positions = tuple(values), None
+
+    @property
+    def values(self):
+        if self._values is None:
+            simplices = self.space.simplices(self.width + self.height)
+            self._values = tuple(simplices[z] for z in self._positions)
+        return self._values
+
+    @property
+    def positions(self):
+        if self._positions is None:
+            degree = self.width + self.height
+            try:
+                self._positions = _positions(self.space, degree, self._values)
+            except KeyError:
+                raise ValueError(
+                    "the values are not all simplices of degree %d of the target" % (degree,)
+                ) from None
+        return self._positions
+
+    def __eq__(self, other):
+        if not isinstance(other, HomSimplex):
+            return NotImplemented
+        return (
+            self.space is other.space
+            and self.width == other.width
+            and self.height == other.height
+            and self.positions == other.positions
+        )
+
+    def __hash__(self):
+        return hash((self.space, self.width, self.height, self.positions))
 
     def value(self, path):
         word = path.word if isinstance(path, LatticePath) else path
@@ -198,13 +255,12 @@ def _path_pool(space, n, p, candidates):
 def _search(space, n, p, prefer_large, doomed=None):
     """The body of :func:`iter_hom_simplices`; ``doomed(m, assign)``, if
     given, prunes the search over positions as in ``simpset._backtrack``."""
-    simplices = space.simplices(p + n)
-    candidates = range(len(simplices))
+    candidates = range(len(space.simplices(p + n)))
     if prefer_large:
         candidates = candidates[::-1]
     pool = _path_pool(space, n, p, candidates)
     for positions in _backtrack(len(all_paths(p, n)), pool, doomed):
-        yield HomSimplex(space, p, n, tuple(simplices[z] for z in positions))
+        yield HomSimplex(space, p, n, _Positions(positions))
 
 
 def _non_negative(**degrees):
@@ -273,16 +329,17 @@ def hom_bireindex(f, theta, gamma):
     """Reindex along theta in the simplex direction, gamma in the source.
 
     Realises precomposition with (theta x gamma) by following the
-    per-shape plan of :func:`_reindex_plan`.
+    per-shape plan of :func:`_reindex_plan`, on positions: each value is
+    the target's action by the plan's psi on a position of f.
     """
     if theta.target != f.width or gamma.target != f.height:
         raise ValueError("reindexing maps do not match the simplex shape")
-    apply_map, values = f.space.apply_map, f.values
+    act, positions = f.space.act, f.positions
     return HomSimplex(
         f.space,
         theta.source,
         gamma.source,
-        tuple(apply_map(psi, values[i]) for i, psi in _reindex_plan(theta, gamma)),
+        _Positions(act(psi, positions[i]) for i, psi in _reindex_plan(theta, gamma)),
     )
 
 
@@ -313,17 +370,37 @@ def _turning_word(k, j, p, n):
     return "H" * k + "V" * j + "H" * (p - k) + "V" * (n - j)
 
 
+@lru_cache(maxsize=None)
+def _turning_paths(p, n):
+    """Entry ``[k][j]`` is the index of the path :func:`_turning_word`
+    (k, j, p, n) in ``all_paths(p, n)``; it carries the grid edge
+    (k, j) -> (k + 1, j) as its step k + j."""
+    index = path_index(p, n)
+    return tuple(
+        tuple(index[_turning_word(k, j, p, n)] for j in range(n + 1)) for k in range(p)
+    )
+
+
 def edge_restriction(f, k, j):
     """The 1-simplex of X under the horizontal grid edge (k, j) -> (k+1, j)."""
     if not (0 <= k < f.width and 0 <= j <= f.height):
         raise ValueError("grid edge (%d, %d) out of range" % (k, j))
-    z = f.values[path_index(f.width, f.height)[_turning_word(k, j, f.width, f.height)]]
-    return f.space.apply_map(edge_map(k + j, 1, f.width + f.height), z)
+    p, n = f.width, f.height
+    z = f.positions[_turning_paths(p, n)[k][j]]
+    return f.space.simplices(1)[f.space.act(edge_map(k + j, 1, p + n), z)]
 
 
 def almost_degenerate_at(f, k):
     """Whether every horizontal edge over column k restricts degenerately."""
-    return all(edge_restriction(f, k, j).is_degenerate for j in range(f.height + 1))
+    p, n = f.width, f.height
+    if not 0 <= k < p:
+        raise ValueError("grid edge (%d, 0) out of range" % (k,))
+    space, positions = f.space, f.positions
+    edges = space.simplices(1)
+    return all(
+        edges[space.act(edge_map(k + j, 1, p + n), positions[m])].is_degenerate
+        for j, m in enumerate(_turning_paths(p, n)[k])
+    )
 
 
 def _degenerate_columns(f):
@@ -353,10 +430,12 @@ def _degenerate_columns(f):
     f = s_k g.
 
     For n = 1 this is ``exhibits.hom1_degeneracy_test``.  Only collapse
-    values are read: no ``apply_map`` and no reindex.
+    values are read, by position: no ``apply_map``, no reindex, and f's
+    ``values`` are not built.
     """
     p, n = f.width, f.height
-    collapses = [x.epi.values for x in f.values]
+    simplices = f.space.simplices(p + n)
+    collapses = [simplices[z].epi.values for z in f.positions]
     return {
         k
         for k, steps in enumerate(zip(*combinations(range(p + n), p)))
@@ -462,9 +541,8 @@ def _column_doom(space, n, p):
     elementary edge epi(s) of the nondegenerate c, which regularity keeps
     nondegenerate.  So each test compares two collapse values.
     """
-    index = path_index(p, n)
-    canon = [[index[_turning_word(k, j, p, n)] for j in range(n + 1)] for k in range(p)]
-    triggers = [[] for _ in index]
+    canon = _turning_paths(p, n)
+    triggers = [[] for _ in all_paths(p, n)]
     for k in range(p):
         triggers[max(canon[k])].append(k)
     values = [x.epi.values for x in space.simplices(p + n)]
@@ -642,14 +720,14 @@ def _family_search(source, space, p, maximal):
         hit = lists.get(d)
         if hit is None:
             simplices = enumerate_hom_simplices(space, d, p)
-            hit = lists[d] = simplices, {f: z for z, f in enumerate(simplices)}
+            hit = lists[d] = simplices, {f.positions: z for z, f in enumerate(simplices)}
         return hit
 
     def pull(gamma, z):
         hit = pulled.get((gamma, z))
         if hit is None:
             f = hom_bireindex(listed(gamma.target)[0][z], ident, gamma)
-            hit = pulled[gamma, z] = listed(gamma.source)[1][f]
+            hit = pulled[gamma, z] = listed(gamma.source)[1][f.positions]
         return hit
 
     def steps(u):
@@ -828,7 +906,7 @@ def hom_complex(space, n, degree_cap=None):
         by_degree[p] = keep
         for i, f in enumerate(keep):
             c = CellId(p, "h%d#%d" % (p, i))
-            cell_of[f] = c
+            cell_of[f.positions] = c
             legend[c] = f
     faces = {}
     for p in range(1, top + 1):
@@ -836,6 +914,6 @@ def hom_complex(space, n, degree_cap=None):
             entries = []
             for i in range(p + 1):
                 eps, core = normalize_hom(hom_face(f, i))
-                entries.append(FormalSimplex(eps, cell_of[core]))
-            faces[cell_of[f]] = tuple(entries)
+                entries.append(FormalSimplex(eps, cell_of[core.positions]))
+            faces[cell_of[f.positions]] = tuple(entries)
     return SimplicialSet(cell_of.values(), faces), legend

@@ -10,7 +10,10 @@ arbitrary monotone map is computed by :meth:`SimplicialSet.apply_map`,
 which re-normalises after pushing injections through the face table one
 step at a time.
 For searches, :meth:`SimplicialSet.face_table` gives the faces of all
-simplices of one degree as positions in the list of the degree below.
+simplices of one degree as positions in the list of the degree below, and
+:meth:`SimplicialSet.act` acts by any monotone map on positions.  Both
+read collapse values and the face table; neither goes through
+``apply_map``, which stays the independent slow route.
 
 All constructors validate the simplicial identities eagerly, so a
 ``SimplicialSet`` that exists is consistent.  The check works on
@@ -19,10 +22,14 @@ construction leaves ``_apply_cache`` empty.  Instances are immutable
 after construction (internal caches aside) and safe for unsynchronised
 concurrent reads.
 
-Each instance owns three caches, touched only by this module and dropped
-with it: ``_simplex_cache`` and ``_face_tables`` hold one entry per degree
-asked for, ``_apply_cache`` one normal form per (map, simplex) pair acted
-on, which the degrees in use bound but nothing caps.
+Each instance owns five caches, touched only by this module and dropped
+with it: ``_simplex_cache``, ``_face_tables`` and ``_position_indexes``
+(generator name and collapse values to position) hold one entry per
+degree asked for; ``_apply_cache`` holds one normal form per (map,
+simplex) pair acted on, and ``_act_rows`` one row per map that
+:meth:`SimplicialSet.act` acted by, as long as the list of simplices it
+acts on, whose entries are filled on first need.  The maps and degrees in
+use bound the last two, but nothing caps them.
 """
 
 from __future__ import annotations
@@ -138,6 +145,8 @@ class SimplicialSet:
         self._apply_cache = {}
         self._simplex_cache = {}
         self._face_tables = {}
+        self._position_indexes = {}
+        self._act_rows = {}
         self._check_simplicial_identities()
 
     # -- basic inspection ---------------------------------------------------
@@ -207,6 +216,29 @@ class SimplicialSet:
         )
         return self.apply_map(reduced, self._faces[cell][j])
 
+    def act(self, psi, z):
+        """Act by ``psi`` on the simplex at position ``z``, on positions.
+
+        Returns the position in ``simplices(psi.source)`` of
+        ``apply_map(psi, simplices(psi.target)[z])``.  It is read off
+        collapse values and the cell face table by the rule of
+        :meth:`face_table`, never through :meth:`apply_map`, and kept in
+        one row per map, of one entry per simplex, each filled on first
+        need.
+        """
+        if z < 0:
+            raise IndexError("simplex position %d is negative" % (z,))
+        row = self._act_rows.get(psi)
+        if row is None:
+            row = self._act_rows[psi] = [None] * len(self.simplices(psi.target))
+        k = row[z]
+        if k is None:
+            x = self.simplices(psi.target)[z]
+            v = x.epi.values
+            cell, w = self._normal_values(x.generator, tuple(v[t] for t in psi.values))
+            k = row[z] = self._position_index(psi.source)[cell.name, w]
+        return k
+
     def face(self, x, i):
         """The i-th face of a simplex (degree drops by one)."""
         return self.apply_map(face_map(i, x.degree), x)
@@ -247,10 +279,7 @@ class SimplicialSet:
         if table is None:
             if degree < 1:
                 raise ValueError("simplices of degree %d have no faces" % (degree,))
-            position = {
-                (x.generator.name, x.epi.values): k
-                for k, x in enumerate(self.simplices(degree - 1))
-            }
+            position = self._position_index(degree - 1)
             rows = []
             for x in self.simplices(degree):
                 v, cell = x.epi.values, x.generator
@@ -263,6 +292,37 @@ class SimplicialSet:
             self._face_tables[degree] = table
         return table
 
+    def _position_index(self, degree):
+        # (generator name, collapse values) -> position in simplices(degree)
+        index = self._position_indexes.get(degree)
+        if index is None:
+            index = self._position_indexes[degree] = {
+                (x.generator.name, x.epi.values): k
+                for k, x in enumerate(self.simplices(degree))
+            }
+        return index
+
+    def _normal_values(self, cell, w):
+        # The normal form of the weakly increasing values w on ``cell``, as a
+        # (generator, values) pair: while w misses some value of [0, dim
+        # cell], drop the largest one missing.  This is _face_values for
+        # any monotone tuple.
+        while True:
+            image = set(w)
+            if len(image) == cell.dim + 1:
+                return cell, w
+            j = cell.dim
+            while j in image:
+                j -= 1
+            cell, w = self._drop_value(cell, w, j)
+
+    def _drop_value(self, cell, w, j):
+        # Values w on ``cell`` that miss j, moved onto the cell's j-th face
+        # entry: pulled back along the shifted tuple.
+        y = self._faces[cell][j]
+        e = y.epi.values
+        return y.generator, tuple(e[u if u < j else u - 1] for u in w)
+
     # -- validation -----------------------------------------------------------
 
     def _face_values(self, cell, v, i):
@@ -272,9 +332,7 @@ class SimplicialSet:
         j = v[i]
         if (i and v[i - 1] == j) or (i + 1 < len(v) and v[i + 1] == j):
             return cell, w
-        y = self._faces[cell][j]
-        e = y.epi.values
-        return y.generator, tuple(e[u if u < j else u - 1] for u in w)
+        return self._drop_value(cell, w, j)
 
     def _check_simplicial_identities(self):
         # d_i d_j = d_{j-1} d_i on every cell, on (generator, values) pairs,
@@ -291,6 +349,13 @@ class SimplicialSet:
                         raise ValueError(
                             "face identities fail on %r at (i=%d, j=%d)" % (c.name, i, j)
                         )
+
+
+def _positions(space, degree, simplices):
+    """The positions of the given simplices in ``space.simplices(degree)``;
+    ``KeyError`` when one is not among them."""
+    index = space._position_index(degree)
+    return tuple(index[x.generator.name, x.epi.values] for x in simplices)
 
 
 # ---------------------------------------------------------------------------

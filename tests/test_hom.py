@@ -14,6 +14,7 @@ from simphom.delta import (
 from simphom.exhibits import corpus, lurie_family
 from simphom.hom import (
     HomDimension,
+    HomSimplex,
     RegularityViolation,
     _iter_nondegenerate,
     _maximal_cells,
@@ -65,6 +66,22 @@ def collapsed_ball(q):
 
 
 class TestConstruction:
+    def test_a_rebuilt_simplex_equals_its_searched_original(self):
+        # the search hands over positions, hom_simplex takes values: both
+        # describe one simplex, with one hash and the same values
+        for space in [delta(2), quotient(delta(2), ["0,2"]), collapsed_ball(2)]:
+            for n, p in [(0, 2), (1, 2), (2, 1)]:
+                for f in enumerate_hom_simplices(space, n, p):
+                    g = hom_simplex(space, p, n, f.assignment())
+                    assert g == f and hash(g) == hash(f)
+                    assert all(x is y for x, y in zip(g.values, f.values))
+                    assert g.positions == f.positions
+        space = delta(1)
+        f, g = enumerate_hom_simplices(space, 1, 1)[:2]
+        assert f != g
+        assert HomSimplex(space, 1, 1, f.values) == f
+        assert HomSimplex(delta(1), 1, 1, f.values) != f  # another target
+
     def test_vertex_of_mapping_space_is_target_simplex(self):
         space = delta(1)
         for f in enumerate_hom_simplices(space, 1, 0):
@@ -326,6 +343,22 @@ class TestDegeneracy:
                 is_degenerate_family(family)
             assert len(space._apply_cache) == before
 
+    def test_degeneracy_verdicts_fill_no_action_entries(self):
+        def filled(space):
+            return sum(k is not None for row in space._act_rows.values() for k in row)
+
+        for space in [delta(2), collapsed_ball(2)]:
+            simplices = [f for p in range(4) for f in enumerate_hom_simplices(space, 1, p)]
+            before = filled(space)
+            for f in simplices:
+                is_degenerate_hom(f)
+            assert filled(space) == before
+            families = hom_general(boundary_delta(1), space, 2)
+            before = filled(space)
+            for family in families:
+                is_degenerate_family(family)
+            assert filled(space) == before
+
     def test_witness_reconstruction_over_regular_target(self):
         space = quotient(delta(2), ["0,2"])  # regular but not strongly so
         checked = 0
@@ -512,6 +545,8 @@ class TestGeneralSource:
             "_apply_cache",
             "_simplex_cache",
             "_face_tables",
+            "_position_indexes",
+            "_act_rows",
         }
 
     def test_families_match_the_face_equations_and_the_brute_force_count(self):

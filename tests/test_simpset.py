@@ -11,11 +11,13 @@ from simphom.delta import (
     MonotoneMap,
     collapse_map,
     degeneracy_map,
+    edge_map,
     face_map,
     identity_map,
     surjection_from_repeats,
 )
 from simphom.exhibits import corpus
+from simphom.hom import _reindex_plan
 from simphom.oracle import count_monotone_lattice_maps
 from simphom.simpset import (
     CellId,
@@ -332,3 +334,40 @@ class TestFaceTable:
     def test_degree_zero_has_no_faces(self):
         with pytest.raises(ValueError):
             delta(1).face_table(0)
+
+
+def _elementary_maps(p):
+    """The identity, face and degeneracy maps into [p]."""
+    faces = [face_map(i, p) for i in range(p + 1)] if p else []
+    return [identity_map(p)] + faces + [degeneracy_map(k, p) for k in range(p + 1)]
+
+
+class TestAct:
+    def test_act_matches_apply_map(self):
+        # apply_map is the slow reference: act must agree with it entry by
+        # entry, for the maps the engine acts by and the reindex plans' psi
+        maps = set()
+        for d in range(5):
+            maps.update(_elementary_maps(d))
+            maps.update(edge_map(i, r, d) for r in range(1, d + 1) for i in range(d + 1 - r))
+        for p in range(5):
+            for n in range(5 - p):
+                for theta in _elementary_maps(p):
+                    for gamma in _elementary_maps(n):
+                        maps.update(psi for _, psi in _reindex_plan(theta, gamma))
+        ball = quotient(delta(2), [c.name for c in boundary_delta(2).cells_of_dim(1)])
+        spaces = [e.space for e in corpus(3, 40)] + [ball, quotient(delta(2), ["0,2"])]
+        checked = 0
+        for space in spaces:
+            for psi in maps:
+                below = space.simplices(psi.source)
+                for z, x in enumerate(space.simplices(psi.target)):
+                    assert below[space.act(psi, z)] == space.apply_map(psi, x), (space, psi, z)
+                    checked += 1
+        assert checked > 100_000
+
+    def test_act_rejects_a_negative_position(self):
+        space = delta(2)
+        space.act(face_map(0, 2), len(space.simplices(2)) - 1)
+        with pytest.raises(IndexError):
+            space.act(face_map(0, 2), -1)
