@@ -33,8 +33,9 @@ On top of the encoding this module provides:
   the collapse of its value repeats at the path's step across column k;
   no reindex) and the cheap column test (all horizontal edges over one
   column degenerate), which agree exactly over regular targets;
-* the explicit witness construction that converts a degenerate column
-  into an actual degeneracy witness, failing loudly on irregular targets;
+* the witness of a degenerate column k, which is the k-th face of f once
+  every path's collapse repeats at its step across the column, failing
+  loudly on irregular targets;
 * dimension computation: over a regular target dim Hom(D^n, X) is
   (n + 1) * dim X, attained by the staircase written into any top cell,
   and otherwise a capped scan gives an honest lower bound;
@@ -46,15 +47,14 @@ On top of the encoding this module provides:
   a regular target starts at the vertex bound |U_0| * dim X.
 
 Computing Hom(U, X) keeps no state of its own on X.  Every memo of a
-search is a local of the call that fills it: face buckets and edge
-verdicts per search; simplex lists, source reindexes and candidate
-buckets per family search; degenerate column sets per degree of
-:func:`dim_hom_general`.  Only the
-reindex plans and the turning paths' indexes outlive a call, in one
-process-wide ``lru_cache`` entry per grid shape, as do the ``lru_cache``
-tables of ``paths`` and ``delta``.  The target's own action rows, filled
-through :meth:`~simphom.simpset.SimplicialSet.act`, belong to the target
-and are documented in ``simpset``.
+search is a local of the call that fills it: face buckets per search;
+simplex lists, source reindexes and candidate buckets per family search;
+degenerate column sets per degree of :func:`dim_hom_general`.  Only the
+reindex plans, the turning paths' indexes and the column steps outlive a
+call, in one process-wide ``lru_cache`` entry per grid shape, as do the
+``lru_cache`` tables of ``paths`` and ``delta``.  The target's own action
+rows, filled through :meth:`~simphom.simpset.SimplicialSet.act`, belong to
+the target and are documented in ``simpset``.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .delta import (
     identity_map,
     surjection_from_repeats,
 )
-from .paths import LatticePath, all_paths, flip_constraints, merged_split, path_index
+from .paths import LatticePath, all_paths, flip_constraints, path_index
 from .regularity import is_regular
 from .simpset import (
     CellId,
@@ -403,15 +403,22 @@ def almost_degenerate_at(f, k):
     )
 
 
+@lru_cache(maxsize=None)
+def _column_steps(p, n):
+    """Entry ``[k][m]`` is the index of the step of path m of the (p, n) grid
+    from column k to k + 1.  The horizontal steps of the paths, in
+    ``all_paths`` order, are ``combinations(range(p + n), p)``, so column
+    k's steps are the k-th entries of those tuples."""
+    return tuple(zip(*combinations(range(p + n), p)))
+
+
 def _degenerate_columns(f):
     """The columns k at which f is the k-th degeneracy of some simplex.
 
     Column k qualifies exactly when, on every lattice path m, the collapse
     of f(m) repeats at s_m, the index of m's horizontal step from column k
-    to k + 1.  This holds over any target, regular or not.  The horizontal
-    steps of the paths, in ``all_paths`` order, are
-    ``combinations(range(p + n), p)``, so column k's steps are the k-th
-    entries of those tuples.
+    to k + 1, read off :func:`_column_steps`.  This holds over any target,
+    regular or not.
 
     (=>) s_k g is the reindex of g along sigma_k x id, and along m that
     map is the degeneracy at s_m: f(m) = s_{s_m} g(m'), where m' is m with
@@ -438,7 +445,7 @@ def _degenerate_columns(f):
     collapses = [simplices[z].epi.values for z in f.positions]
     return {
         k
-        for k, steps in enumerate(zip(*combinations(range(p + n), p)))
+        for k, steps in enumerate(_column_steps(p, n))
         if all(v[s] == v[s + 1] for v, s in zip(collapses, steps))
     }
 
@@ -470,49 +477,31 @@ def normalize_hom(f):
 
 
 def lemma4_witness(space, f, k):
-    """Rebuild the witness g with f == (k-th degeneracy of g).
+    """The witness g with f == (k-th degeneracy of g), which is g = d_k f.
 
-    Requires column k of f to be entirely degenerate.  Every merged path m
-    determines the witness value as a face of the path through the top of
-    the column; the construction then verifies, for every crossing
-    ordinate, that f really is the corresponding degeneracy of g.  Over a
-    regular target this always succeeds; otherwise the first failing check
-    raises :class:`RegularityViolation` with the offending simplex.
+    Requires column k of f to be entirely degenerate.  By the rule of
+    :func:`_degenerate_columns`, f is the k-th degeneracy of its own k-th
+    face exactly when, on every path, the collapse of its value repeats at
+    the path's step across column k.  Over a regular target a degenerate
+    column always passes; otherwise the first path whose collapse does not
+    repeat there raises :class:`RegularityViolation`, carrying that path's
+    simplex.
     """
     if not 0 <= k < f.width:
         raise ValueError("column %d out of range" % (k,))
     if not almost_degenerate_at(f, k):
         raise ValueError("column %d of the simplex is not entirely degenerate" % (k,))
     p, n = f.width, f.height
-    index = path_index(p, n)
-    values = {}
-    splits = {}
-    for m in all_paths(p - 1, n):
-        sp = merged_split(m, k)
-        splits[m] = sp
-        top = sp.reassemble(crossing=sp.beta)
-        z = f.values[index[top.word]]
-        values[m] = space.face(z, k + sp.beta + 1)
-    for m in all_paths(p - 1, n):
-        sp = splits[m]
-        g_m = values[m]
-        for t in range(sp.alpha, sp.beta + 1):
-            a_t = sp.reassemble(crossing=t)
-            expected = space.apply_map(degeneracy_map(k + t, p + n - 1), g_m)
-            actual = f.values[index[a_t.word]]
-            if actual != expected:
-                raise RegularityViolation(
-                    "degenerate column %d does not split off a degeneracy at "
-                    "crossing %d of path %r; the target is not regular"
-                    % (k, t, a_t.word),
-                    offender=actual,
-                )
-    try:
-        return hom_simplex(space, p - 1, n, values)
-    except ValueError as exc:
-        raise RegularityViolation(
-            "witness family is itself incompatible: %s" % (exc,)
-        ) from exc
+    simplices = space.simplices(p + n)
+    for m, (z, s) in enumerate(zip(f.positions, _column_steps(p, n)[k])):
+        v = simplices[z].epi.values
+        if v[s] != v[s + 1]:
+            raise RegularityViolation(
+                "degenerate column %d does not split off a degeneracy on path %r; "
+                "the target is not regular" % (k, all_paths(p, n)[m].word),
+                offender=simplices[z],
+            )
+    return hom_face(f, k)
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +591,13 @@ def staircase_table(n, q):
 
 
 def _written_simplex(space, cell, p, n, chain):
-    """The p-simplex of Hom(D^n, X) whose value on a path is ``apply_map`` of
+    """The p-simplex of Hom(D^n, X) whose value on a path is the action of
     its vertex values ``chain(path)`` on ``cell``, read as the positions
     0, ..., dim c of the vertices of the cell c.  A chain that reads a grid of
     vertex values at the path's points gives a compatible family."""
-    x = cell_simplex(cell)
-    values = (MonotoneMap(p + n, cell.dim, chain(path)) for path in all_paths(p, n))
-    return HomSimplex(space, p, n, tuple(space.apply_map(psi, x) for psi in values))
+    (z,) = _positions(space, cell.dim, [cell_simplex(cell)])
+    maps = (MonotoneMap(p + n, cell.dim, chain(path)) for path in all_paths(p, n))
+    return HomSimplex(space, p, n, _Positions(space.act(psi, z) for psi in maps))
 
 
 def _staircase_witness(space, cell, n):

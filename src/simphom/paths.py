@@ -160,21 +160,3 @@ def split_path_at_column(path, k):
     exit_word = path.word[k + 1 + beta:]
     return PathSplit(path.width, path.height, k, alpha, t, beta, entry, exit_word)
 
-
-def merged_split(path, k):
-    """Split a path of the SMALLER rectangle around column k.
-
-    Here ``path`` lives in a (width, height) rectangle and is interpreted
-    as the merge of paths in the (width + 1, height) rectangle at column k:
-    it reaches column k at ordinate alpha, climbs to ordinate beta, and
-    leaves horizontally (boundary columns forced as usual).  Returns a
-    PathSplit for the WIDER rectangle whose merged_path() is ``path``; its
-    crossing ordinate is set to alpha and can be overridden on reassembly.
-    """
-    if not 0 <= k <= path.width:
-        raise ValueError("column %d out of range" % (k,))
-    alpha = 0 if k == 0 else path.crossing_ordinate(k - 1)
-    beta = path.height if k == path.width else path.crossing_ordinate(k)
-    entry = path.word[: k + alpha]
-    exit_word = path.word[k + beta:]
-    return PathSplit(path.width + 1, path.height, k, alpha, alpha, beta, entry, exit_word)

@@ -16,6 +16,7 @@ from simphom.hom import (
     HomDimension,
     HomSimplex,
     RegularityViolation,
+    _degenerate_columns,
     _iter_nondegenerate,
     _maximal_cells,
     _spans_simplex,
@@ -342,6 +343,22 @@ class TestDegeneracy:
             for family in families:
                 is_degenerate_family(family)
             assert len(space._apply_cache) == before
+            before = len(space._apply_cache)
+            for f in simplices:
+                for k in range(f.width):
+                    if almost_degenerate_at(f, k):
+                        try:
+                            lemma4_witness(space, f, k)
+                        except RegularityViolation:
+                            pass
+            assert len(space._apply_cache) == before
+        # the staircase witness of dim_hom is written on positions too;
+        # only the regularity check ahead of it goes through apply_map
+        space = delta(2)
+        is_regular(space)
+        before = len(space._apply_cache)
+        assert dim_hom(space, 1) == HomDimension(4, True)
+        assert len(space._apply_cache) == before
 
     def test_degeneracy_verdicts_fill_no_action_entries(self):
         def filled(space):
@@ -370,6 +387,34 @@ class TestDegeneracy:
                         assert hom_degeneracy(g, k) == f
                         checked += 1
         assert checked > 0
+
+    def test_witness_splits_exactly_at_the_degenerate_columns(self):
+        # the witness exists exactly at the columns where f is a degeneracy;
+        # a raise is checked against the slow definition, d_k then s_k
+        cases = raised = 0
+        for entry in corpus(seed=3, count=40):
+            space = entry.space
+            for n in (0, 1):
+                for p in (1, 2, 3):
+                    if len(space.simplices(p + n)) * (p + n) > 150:
+                        continue
+                    for f in enumerate_hom_simplices(space, n, p):
+                        columns = _degenerate_columns(f)
+                        for k in range(p):
+                            if not almost_degenerate_at(f, k):
+                                continue
+                            cases += 1
+                            try:
+                                g = lemma4_witness(space, f, k)
+                            except RegularityViolation as exc:
+                                raised += 1
+                                assert k not in columns
+                                assert hom_degeneracy(hom_face(f, k), k) != f
+                                assert exc.offender in f.values
+                            else:
+                                assert k in columns
+                                assert hom_degeneracy(g, k) == f
+        assert (cases, raised) == (12079, 5237)
 
     def test_witness_requires_degenerate_column(self):
         space = delta(1)

@@ -1,4 +1,4 @@
-"""Lattice paths in a rectangle: enumeration, flips, splits and merges."""
+"""Lattice paths in a rectangle: enumeration, flips and splits."""
 
 import math
 
@@ -8,7 +8,6 @@ from simphom.paths import (
     LatticePath,
     all_paths,
     flip_constraints,
-    merged_split,
     path_index,
     split_path_at_column,
 )
@@ -92,36 +91,28 @@ class TestSplits:
                     for k in range(width):
                         sp = split_path_at_column(p, k)
                         assert sp.reassemble() == p
+                        # merging deletes the crossing step, at k + crossing
+                        s = k + sp.crossing
+                        assert sp.merged_path().word == p.word[:s] + p.word[s + 1:]
                         for t in range(sp.alpha, sp.beta + 1):
                             q = sp.reassemble(t)
                             assert split_path_at_column(q, k).crossing == t
-
-    def test_merged_split_round_trip(self):
-        for width in range(4):
-            for height in range(3):
-                for m in all_paths(width, height):
-                    for k in range(width + 1):
-                        sp = merged_split(m, k)
-                        assert sp.width == width + 1
-                        assert sp.merged_path() == m
-                        # reassembled paths collapse back onto m
-                        for t in range(sp.alpha, sp.beta + 1):
-                            q = sp.reassemble(t)
-                            assert split_path_at_column(q, k).merged_path() == m
 
     def test_merge_partitions_wider_rectangle(self):
         # deleting the column-k crossing maps the wide rectangle onto the
         # narrow one; fibres have size beta - alpha + 1 and partition it
         width, height, k = 3, 2, 1
-        fibre_total = 0
-        for m in all_paths(width - 1, height):
-            sp = merged_split(m, k)
-            fibre_total += sp.beta - sp.alpha + 1
-        assert fibre_total == len(all_paths(width, height))
+        fibres = {}
+        for q in all_paths(width, height):
+            fibres.setdefault(split_path_at_column(q, k).merged_path(), []).append(q)
+        assert set(fibres) == set(all_paths(width - 1, height))
+        for fibre in fibres.values():
+            sp = split_path_at_column(fibre[0], k)
+            assert len(fibre) == sp.beta - sp.alpha + 1
+            assert sorted(fibre) == sorted(sp.reassemble(t) for t in range(sp.alpha, sp.beta + 1))
+        assert sum(map(len, fibres.values())) == len(all_paths(width, height))
 
     def test_bad_column_raises(self):
         p = LatticePath(2, 1, "HVH")
         with pytest.raises(ValueError):
             split_path_at_column(p, 2)
-        with pytest.raises(ValueError):
-            merged_split(p, 3)

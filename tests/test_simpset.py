@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import simphom.hom
 import simphom.simpset
 from simphom.delta import (
     MonotoneMap,
@@ -55,6 +56,24 @@ def test_only_simpset_touches_private_attributes_of_other_objects():
             ):
                 offences.append("%s:%d %s" % (path.name, node.lineno, node.attr))
     assert not offences, offences
+
+
+def test_hom_acts_on_simplices_only_in_its_slow_flip_check():
+    # the hom engine reads target simplices by position; the one value-level
+    # route left is the independent flip check of validate_hom_simplex
+    tree = ast.parse(Path(simphom.hom.__file__).read_text(encoding="utf-8"))
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "validate_hom_simplex":
+            allowed.update(map(id, ast.walk(node)))
+    offences = [
+        "hom.py:%d %s" % (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("apply_map", "face", "degeneracy")
+        and id(node) not in allowed
+    ]
+    assert allowed and not offences, offences
 
 
 class TestNormalForms:
