@@ -1,7 +1,6 @@
 """Edge-based degeneracy diagnostics for finite simplicial sets.
 
-Three nested conditions are implemented, all phrased through the two-point
-edge maps of :mod:`simphom.delta`:
+Three nested conditions are implemented:
 
 * *strongly regular*: every face of every nondegenerate cell is again
   nondegenerate (the face table contains no collapses at all);
@@ -10,6 +9,12 @@ edge maps of :mod:`simphom.delta`:
 * *collapse property of width r*: whenever the edge from position i to
   position i + r of any simplex x is degenerate, x is an r-fold degeneracy
   on that whole block, i.e. its collapse is constant on {i, ..., i + r}.
+
+Edges are read off one table per call, never through ``apply_map``: for
+each cell c, the pairs a < b <= a + r whose values on c normalise onto a
+vertex (:meth:`SimplicialSet.normal_values`).  The edge from i to j of
+the simplex (epi, c) is degenerate exactly when epi(i) = epi(j) or
+(epi(i), epi(j)) is in c's entry, and epi(j) - epi(i) <= j - i.
 
 The width-r property is checked by enumerating simplices up to a degree
 cap; the default cap (dimension + r + 1) exceeds the largest degree at
@@ -23,9 +28,6 @@ Reports carry the lexicographically least witness: cells are scanned in
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .delta import edge_map
-from .simpset import FormalSimplex, cell_simplex
 
 
 @dataclass(frozen=True)
@@ -53,24 +55,42 @@ def is_strongly_regular(space):
     return RegularityReport(True)
 
 
+def _degenerate_edges(space, cell, r):
+    # The pairs a < b <= a + r whose edge of ``cell`` is degenerate.
+    return frozenset(
+        (a, b)
+        for a in range(cell.dim)
+        for b in range(a + 1, min(a + r, cell.dim) + 1)
+        if space.normal_values(cell, (a, b))[0].dim == 0
+    )
+
+
+def _degenerate_steps(x, bad):
+    # Whether each elementary edge of x is degenerate, given the degenerate
+    # pairs ``bad`` of its generator.
+    v = x.epi.values
+    return [v[i] == v[i + 1] or (v[i], v[i + 1]) in bad for i in range(x.degree)]
+
+
 def is_regular(space):
     """Whether every elementary edge of every cell is nondegenerate."""
     for c in space.cells:
-        x = cell_simplex(c)
-        for i in range(c.dim):
-            if space.apply_map(edge_map(i, 1, c.dim), x).is_degenerate:
-                return RegularityReport(False, (c, i))
+        bad = _degenerate_edges(space, c, 1)
+        if bad:
+            return RegularityReport(False, (c, min(bad)[0]))
     return RegularityReport(True)
 
 
 def satisfies_pr(space, r, degree_cap=None):
     """Whether degenerate edges of width <= r only arise from block collapses.
 
-    Every simplex x of degree at most ``degree_cap`` is enumerated in its
-    normal form, and for every admissible position i the edge from i to
-    i + r of x is computed.  If that edge is degenerate, x itself must be
-    constant on the block {i, ..., i + r} under its collapse; the first
-    simplex violating this is returned as the witness.
+    When no cell has a degenerate edge of width <= r (the table of the
+    module docstring), the answer is true at once.  Otherwise every simplex
+    x of degree r to ``degree_cap`` is enumerated in its normal form, and
+    for every position i the edge from i to i + r of x is read off the
+    table.  If that edge is degenerate, x itself must be constant on the
+    block {i, ..., i + r} under its collapse; the first simplex violating
+    this is returned as the witness.
     """
     if r < 1:
         raise ValueError("the collapse property needs a width r >= 1")
@@ -80,25 +100,21 @@ def satisfies_pr(space, r, degree_cap=None):
         raise ValueError(
             "degree cap %d is below the dimension %d" % (degree_cap, space.dim)
         )
-    for degree in range(degree_cap + 1):
+    table = {c: _degenerate_edges(space, c, r) for c in space.cells}
+    if not any(table.values()):
+        return RegularityReport(True)
+    for degree in range(r, degree_cap + 1):
         for x in space.simplices(degree):
-            values = x.epi.values
+            v, bad = x.epi.values, table[x.generator]
             for i in range(degree - r + 1):
-                if values[i] == values[i + r]:
-                    continue  # the block is already collapsed; nothing to check
-                edge = space.apply_map(edge_map(i, r, degree), x)
-                if edge.is_degenerate:
+                if (v[i], v[i + r]) in bad:
                     return RegularityReport(False, (x, i))
     return RegularityReport(True)
 
 
 def count_efficient_edges(space, x):
     """Number of elementary edges of x that are nondegenerate."""
-    total = 0
-    for i in range(x.degree):
-        if not space.apply_map(edge_map(i, 1, x.degree), x).is_degenerate:
-            total += 1
-    return total
+    return _degenerate_steps(x, _degenerate_edges(space, x.generator, 1)).count(False)
 
 
 def edge_detects_degeneracy(space, degree_cap):
@@ -109,12 +125,9 @@ def edge_detects_degeneracy(space, degree_cap):
     edge) holds in every simplicial set once the degree is at least one; the
     reverse direction characterises the regular ones.
     """
+    table = {c: _degenerate_edges(space, c, 1) for c in space.cells}
     for degree in range(1, degree_cap + 1):
         for x in space.simplices(degree):
-            has_bad_edge = any(
-                space.apply_map(edge_map(i, 1, degree), x).is_degenerate
-                for i in range(degree)
-            )
-            if x.is_degenerate != has_bad_edge:
+            if x.is_degenerate != any(_degenerate_steps(x, table[x.generator])):
                 return RegularityReport(False, (x, None))
     return RegularityReport(True)

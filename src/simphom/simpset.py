@@ -8,33 +8,34 @@ surjection applied to a nondegenerate cell.  Every simplex of the set is
 such a pair, and the pair is unique; the contravariant action of an
 arbitrary monotone map is computed by :meth:`SimplicialSet.apply_map`,
 which re-normalises after pushing injections through the face table one
-step at a time.
+step at a time.  It caches nothing: it is the library's independent slow
+reference.
 For searches, :meth:`SimplicialSet.face_table` gives the faces of all
 simplices of one degree as positions in the list of the degree below, and
 :meth:`SimplicialSet.act` acts by any monotone map on positions.  Both
-read collapse values and the face table; neither goes through
-``apply_map``, which stays the independent slow route.
+read collapse values and the face table through
+:meth:`SimplicialSet.normal_values`; neither goes through ``apply_map``.
 
 All constructors validate the simplicial identities eagerly, so a
 ``SimplicialSet`` that exists is consistent.  The check works on
 collapse values, by the rule :meth:`SimplicialSet.face_table` uses, so
-construction leaves ``_apply_cache`` empty.  Instances are immutable
-after construction (internal caches aside) and safe for unsynchronised
+construction never calls ``apply_map``.  Instances are immutable after
+construction (internal caches aside) and safe for unsynchronised
 concurrent reads.
 
-Each instance owns five caches, touched only by this module and dropped
+Each instance owns four caches, touched only by this module and dropped
 with it: ``_simplex_cache``, ``_face_tables`` and ``_position_indexes``
 (generator name and collapse values to position) hold one entry per
-degree asked for; ``_apply_cache`` holds one normal form per (map,
-simplex) pair acted on, and ``_act_rows`` one row per map that
+degree asked for, and ``_act_rows`` one row per map that
 :meth:`SimplicialSet.act` acted by, as long as the list of simplices it
 acts on, whose entries are filled on first need.  The maps and degrees in
-use bound the last two, but nothing caps them.
+use bound them, but nothing caps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .delta import (
@@ -142,7 +143,6 @@ class SimplicialSet:
         self._cells = cells
         self._by_name = by_name
         self._faces = table
-        self._apply_cache = {}
         self._simplex_cache = {}
         self._face_tables = {}
         self._position_indexes = {}
@@ -194,15 +194,9 @@ class SimplicialSet:
                 "map into [%d] cannot act on a simplex of degree %d"
                 % (phi.target, x.degree)
             )
-        key = (phi, x)
-        cached = self._apply_cache.get(key)
-        if cached is None:
-            alpha = compose_monotone(x.epi, phi)
-            epi, mono = epi_mono_factor(alpha)
-            y = self._act_injective(mono, x.generator)
-            cached = FormalSimplex(compose_monotone(y.epi, epi), y.generator)
-            self._apply_cache[key] = cached
-        return cached
+        epi, mono = epi_mono_factor(compose_monotone(x.epi, phi))
+        y = self._act_injective(mono, x.generator)
+        return FormalSimplex(compose_monotone(y.epi, epi), y.generator)
 
     def _act_injective(self, mono, cell):
         # Push an injection through the face table, one missing value at a
@@ -235,7 +229,7 @@ class SimplicialSet:
         if k is None:
             x = self.simplices(psi.target)[z]
             v = x.epi.values
-            cell, w = self._normal_values(x.generator, tuple(v[t] for t in psi.values))
+            cell, w = self.normal_values(x.generator, tuple(v[t] for t in psi.values))
             k = row[z] = self._position_index(psi.source)[cell.name, w]
         return k
 
@@ -302,11 +296,12 @@ class SimplicialSet:
             }
         return index
 
-    def _normal_values(self, cell, w):
-        # The normal form of the weakly increasing values w on ``cell``, as a
-        # (generator, values) pair: while w misses some value of [0, dim
-        # cell], drop the largest one missing.  This is _face_values for
-        # any monotone tuple.
+    def normal_values(self, cell, w):
+        """The normal form (generator, collapse values) of the simplex with
+        weakly increasing values w on ``cell``: while w misses some value of
+        [0, dim cell], the largest missing j is dropped, moving w onto the
+        cell's j-th face entry.  This is :meth:`face_table`'s rule for any
+        monotone tuple, and never goes through :meth:`apply_map`."""
         while True:
             image = set(w)
             if len(image) == cell.dim + 1:
@@ -336,7 +331,7 @@ class SimplicialSet:
 
     def _check_simplicial_identities(self):
         # d_i d_j = d_{j-1} d_i on every cell, on (generator, values) pairs,
-        # so construction never goes through apply_map or fills its cache.
+        # so construction never goes through apply_map.
         for c in self._cells:
             if c.dim < 2:
                 continue
@@ -528,7 +523,8 @@ def product(a, b):
 
     A nondegenerate r-cell is a pair of collapses (one of a cell of each
     factor) whose repeat positions are disjoint; faces are computed in each
-    factor and then re-normalised jointly.
+    factor through the slow route :meth:`SimplicialSet.face`, memoised for
+    the call, and then re-normalised jointly.
     """
     cells = {}
     pair_of = {}
@@ -544,13 +540,14 @@ def product(a, b):
                         cells[c] = (fx, fy)
                         pair_of[(fx, fy)] = c
     faces = {}
+    factor_face = lru_cache(maxsize=None)(lambda space, x, i: space.face(x, i))
     for c, (fx, fy) in cells.items():
         if c.dim == 0:
             continue
         entries = []
         for i in range(c.dim + 1):
-            u = a.apply_map(face_map(i, c.dim), fx)
-            v = b.apply_map(face_map(i, c.dim), fy)
+            u = factor_face(a, fx, i)
+            v = factor_face(b, fy, i)
             common = set(u.epi.repeat_positions()) & set(v.epi.repeat_positions())
             gamma = surjection_from_repeats(c.dim - 1, common)
             core = (

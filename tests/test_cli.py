@@ -216,6 +216,10 @@ class TestExecution:
         assert results[0]["verdict"] is False
         assert results[0]["witness"][0] == "0,1,2"
 
+    def test_check_p_at_a_huge_width(self):
+        results, ok = run_text("set T = delta 2\ncheck P 1000000 T\n")
+        assert ok and results[0]["verdict"] is True
+
     def test_dump_round_trip(self):
         results, ok = run_text("set D = delta 2\nset Q = quotient D by 0 2\ndump Q\n")
         assert ok

@@ -331,19 +331,14 @@ class TestDegeneracy:
                 normalize_hom(f)
         assert set(vars(space)) == own
 
-    def test_degeneracy_verdicts_leave_the_apply_cache_alone(self):
+    def test_degeneracy_verdicts_never_call_apply_map(self, apply_map_calls):
         for space in [delta(2), collapsed_ball(2)]:
             simplices = [f for p in range(4) for f in enumerate_hom_simplices(space, 1, p)]
-            before = len(space._apply_cache)
+            families = hom_general(boundary_delta(1), space, 2)
             for f in simplices:
                 is_degenerate_hom(f)
-            assert len(space._apply_cache) == before
-            families = hom_general(boundary_delta(1), space, 2)
-            before = len(space._apply_cache)
             for family in families:
                 is_degenerate_family(family)
-            assert len(space._apply_cache) == before
-            before = len(space._apply_cache)
             for f in simplices:
                 for k in range(f.width):
                     if almost_degenerate_at(f, k):
@@ -351,14 +346,10 @@ class TestDegeneracy:
                             lemma4_witness(space, f, k)
                         except RegularityViolation:
                             pass
-            assert len(space._apply_cache) == before
-        # the staircase witness of dim_hom is written on positions too;
-        # only the regularity check ahead of it goes through apply_map
-        space = delta(2)
-        is_regular(space)
-        before = len(space._apply_cache)
-        assert dim_hom(space, 1) == HomDimension(4, True)
-        assert len(space._apply_cache) == before
+        # the staircase witness of dim_hom and its regularity check read
+        # positions and collapse values too
+        assert dim_hom(delta(2), 1) == HomDimension(4, True)
+        assert apply_map_calls == []
 
     def test_degeneracy_verdicts_fill_no_action_entries(self):
         def filled(space):
@@ -580,14 +571,14 @@ class TestGeneralSource:
         got = dim_hom_general(delta(0), collapsed_ball(2), degree_cap=2)
         assert not got.exact and got.value == 2
 
-    def test_hom_leaves_no_state_on_the_target(self):
+    def test_hom_leaves_no_state_on_the_target(self, apply_map_calls):
         target = delta(1)
         dim_hom_general(boundary_delta(2), target)
+        assert apply_map_calls == []
         assert set(vars(target)) == {
             "_cells",
             "_by_name",
             "_faces",
-            "_apply_cache",
             "_simplex_cache",
             "_face_tables",
             "_position_indexes",

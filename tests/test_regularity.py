@@ -1,8 +1,11 @@
 """Edge diagnostics: strong regularity, regularity, block-collapse widths."""
 
+import time
+
 import pytest
 
 from simphom.delta import edge_map, identity_map
+from simphom.exhibits import corpus
 from simphom.regularity import (
     count_efficient_edges,
     edge_detects_degeneracy,
@@ -29,6 +32,84 @@ def collapsed_ball(q):
     """delta(q) with its whole boundary collapsed."""
     names = [c.name for c in boundary_delta(q).cells_of_dim(q - 1)]
     return quotient(delta(q), names)
+
+
+# Slow references: every edge is pushed through apply_map.
+
+
+def degenerate_edge(space, x, i, r):
+    return space.apply_map(edge_map(i, r, x.degree), x).is_degenerate
+
+
+def slow_is_regular(space):
+    for c in space.cells:
+        for i in range(c.dim):
+            if degenerate_edge(space, cell_simplex(c), i, 1):
+                return False, (c, i)
+    return True, None
+
+
+def slow_satisfies_pr(space, r):
+    for degree in range(space.dim + r + 2):
+        for x in space.simplices(degree):
+            values = x.epi.values
+            for i in range(degree - r + 1):
+                if values[i] != values[i + r] and degenerate_edge(space, x, i, r):
+                    return False, (x, i)
+    return True, None
+
+
+def slow_count_efficient_edges(space, x):
+    return sum(not degenerate_edge(space, x, i, 1) for i in range(x.degree))
+
+
+def slow_edge_detects_degeneracy(space, degree_cap):
+    for degree in range(1, degree_cap + 1):
+        for x in space.simplices(degree):
+            bad = any(degenerate_edge(space, x, i, 1) for i in range(degree))
+            if x.is_degenerate != bad:
+                return False, (x, None)
+    return True, None
+
+
+REFERENCE_CORPUS = corpus(3, 200)
+LANDMARKS = corpus(3)
+
+
+class TestSlowReference:
+    def test_predicates_match_their_references(self):
+        # every width r = 1, 2, 3 on the landmarks, width 1 on the whole corpus
+        cases = [(entry, r) for entry in LANDMARKS for r in (2, 3)]
+        cases += [(entry, 1) for entry in REFERENCE_CORPUS]
+        for entry, r in cases:
+            space = entry.space
+            pairs = [(satisfies_pr(space, r), slow_satisfies_pr(space, r))]
+            if r == 1:
+                cap = space.dim + 2
+                pairs += [
+                    (is_regular(space), slow_is_regular(space)),
+                    (edge_detects_degeneracy(space, cap), slow_edge_detects_degeneracy(space, cap)),
+                ]
+            for fast, slow in pairs:
+                assert (fast.verdict, fast.witness) == slow, (entry.name, r)
+
+    def test_efficient_edge_counts_match_their_reference(self):
+        for entry in REFERENCE_CORPUS:
+            space = entry.space
+            for degree in range(space.dim + 3):
+                for x in space.simplices(degree):
+                    assert count_efficient_edges(space, x) == slow_count_efficient_edges(
+                        space, x
+                    ), (entry.name, x)
+
+    def test_predicates_never_call_apply_map(self, apply_map_calls):
+        for space in [delta(3), squashed_triangle(), collapsed_ball(3)]:
+            is_regular(space)
+            satisfies_pr(space, 2)
+            edge_detects_degeneracy(space, space.dim + 2)
+            for x in space.simplices(space.dim + 1):
+                count_efficient_edges(space, x)
+        assert apply_map_calls == []
 
 
 class TestStrongRegularity:
@@ -104,6 +185,11 @@ class TestBlockCollapseProperty:
         assert not report
         x, i = report.witness
         assert x.epi.is_identity and x.generator.name == "0,1,2,3" and i == 0
+
+    def test_huge_width_without_degenerate_edges_answers_at_once(self):
+        start = time.perf_counter()
+        assert satisfies_pr(delta(2), 10**6)
+        assert time.perf_counter() - start < 1
 
     def test_default_cap_matches_larger_caps(self):
         # raising the cap beyond the default never changes the verdict

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import simphom.hom
+import simphom.regularity
 import simphom.simpset
 from simphom.delta import (
     MonotoneMap,
@@ -60,20 +61,28 @@ def test_only_simpset_touches_private_attributes_of_other_objects():
 
 def test_hom_acts_on_simplices_only_in_its_slow_flip_check():
     # the hom engine reads target simplices by position; the one value-level
-    # route left is the independent flip check of validate_hom_simplex
-    tree = ast.parse(Path(simphom.hom.__file__).read_text(encoding="utf-8"))
-    allowed = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "validate_hom_simplex":
-            allowed.update(map(id, ast.walk(node)))
-    offences = [
-        "hom.py:%d %s" % (node.lineno, node.attr)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and node.attr in ("apply_map", "face", "degeneracy")
-        and id(node) not in allowed
-    ]
-    assert allowed and not offences, offences
+    # route left is the independent flip check of validate_hom_simplex.  The
+    # regularity predicates read collapse values and normal_values only.
+    offences = []
+    for module, allowed_function in [
+        (simphom.hom, "validate_hom_simplex"),
+        (simphom.regularity, None),
+    ]:
+        path = Path(module.__file__)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == allowed_function:
+                allowed.update(map(id, ast.walk(node)))
+        assert allowed or allowed_function is None, allowed_function
+        offences += [
+            "%s:%d %s" % (path.name, node.lineno, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("apply_map", "face", "degeneracy")
+            and id(node) not in allowed
+        ]
+    assert not offences, offences
 
 
 class TestNormalForms:
@@ -202,9 +211,12 @@ class TestAction:
                             space.face(x, i), j - 1
                         ), (entry.name, c.name, i, j)
 
-    def test_construction_leaves_the_apply_cache_empty(self):
-        for space in [delta(9), product(delta(2), delta(2))]:
-            assert space._apply_cache == {}
+    def test_construction_never_calls_apply_map(self, apply_map_calls):
+        square = product(delta(2), delta(2))  # its factor faces take the slow route
+        apply_map_calls.clear()
+        for space in [delta(9), quotient(delta(3), ["0,3"]), square]:
+            SimplicialSet(space.cells, space.faces)
+        assert apply_map_calls == []
 
 
 class TestConstructors:
