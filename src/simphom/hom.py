@@ -9,16 +9,14 @@ interior point have equal faces at that point's index.
 
 On top of the encoding this module provides:
 
-* exhaustive enumeration of the p-simplices for a finite target, by the
-  backtracking core ``simpset._backtrack`` over the lex-ordered paths; it
-  keeps an explicit stack of candidate iterators, so no recursion grows
-  with the number of paths, and the family search below runs through it
-  too.  The search works on integer positions in the target's list of
-  (p + n)-simplices: a flip check compares two entries of the target's
-  integer face table, and a result keeps its positions, its target
-  simplices built only when ``values`` is first read.  The same search,
-  pruned at the first fully degenerate column over a regular target,
-  streams the nondegenerate simplices that both :func:`dim_hom` and
+* exhaustive enumeration of the p-simplices for a finite target, by one
+  search on integer positions through ``simpset._backtrack``, whose
+  explicit stack grows no recursion with the number of paths.  A
+  candidate is a position in the target's list of (p + n)-simplices, a
+  flip check compares two entries of its integer face table, and a
+  result builds its target simplices only when ``values`` is first read.
+  Pruned at the first fully degenerate column over a regular target, the
+  search streams the nondegenerate simplices that :func:`dim_hom` and
   :func:`hom_complex` read;
 * the simplicial structure (faces, degeneracies, reindexing along any
   monotone map, in both grid directions), each reindex following a plan
@@ -40,21 +38,22 @@ On top of the encoding this module provides:
   (n + 1) * dim X, attained by the staircase written into any top cell,
   and otherwise a capped scan gives an honest lower bound;
 * mapping spaces out of an arbitrary finite source, as compatible
-  families over its cells, searched on its maximal cells alone.  Their
+  families over its cells: the same search fills the paths of the
+  maximal cells, each face entry of the source giving equations between
+  two paths, and the other values are reindexed along routes.  Their
   dimension is read piece by piece over the connected components of the
   source; a source whose cells form a standard simplex is answered as
   Hom(D^n, X), whatever presentation it came in, and any other scan over
   a regular target starts at the vertex bound |U_0| * dim X.
 
 Computing Hom(U, X) keeps no state of its own on X.  Every memo of a
-search is a local of the call that fills it: face buckets per search;
-simplex lists, source reindexes and candidate buckets per family search;
-degenerate column sets per degree of :func:`dim_hom_general`.  Only the
+search (candidate buckets, the action rows of its equations, a family
+stream's derived values) is a local of the call that fills it.  Only the
 reindex plans, the turning paths' indexes and the column steps outlive a
 call, in one process-wide ``lru_cache`` entry per grid shape, as do the
 ``lru_cache`` tables of ``paths`` and ``delta``.  The target's own action
-rows, filled through :meth:`~simphom.simpset.SimplicialSet.act`, belong to
-the target and are documented in ``simpset``.
+rows, filled through :meth:`~simphom.simpset.SimplicialSet.act`, belong
+to the target and are documented in ``simpset``.
 """
 
 from __future__ import annotations
@@ -65,6 +64,7 @@ from itertools import combinations
 
 from .delta import (
     MonotoneMap,
+    compose_monotone,
     degeneracy_map,
     edge_map,
     face_map,
@@ -207,60 +207,115 @@ def validate_hom_simplex(f):
 # Enumeration.
 # ---------------------------------------------------------------------------
 
-def _linked(hits, checks, faces):
-    """The positions among ``hits`` whose faces match every (index, face) check."""
-    for z in hits:
-        row = faces[z]
-        for idx, want in checks:
-            if row[idx] != want:
-                break
-        else:
-            yield z
+class _ActRow(dict):
+    """``space.act(psi, z)`` by z, resolved on first read, so a search
+    hashes ``psi`` once and then reads integers."""
+
+    def __init__(self, space, psi):
+        self.space, self.psi = space, psi
+
+    def __missing__(self, z):
+        k = self[z] = z if self.psi.is_identity else self.space.act(self.psi, z)
+        return k
 
 
-def _path_pool(space, n, p, candidates):
-    """Candidate pools for the lattice paths of the (p, n) grid, in order.
+def _search(space, p, dims, equations=(), seats=(), prefer_large=False):
+    """The one backtracking search of this module, on integer positions.
 
-    Candidates are positions in ``space.simplices(p + n)`` and faces are
-    read off :meth:`~simphom.simpset.SimplicialSet.face_table`, so every
-    flip check compares two integers.  Each path beyond the first is
-    linked to at least one earlier path by a unit-square flip, so the
-    constraint graph is swept connectedly: the first link picks one bucket
-    of an index on the constrained face, which keeps the scan near
-    output-linear, and any further links filter it.
+    Its slots are the pairs (cell k, path m of the (p, dims[k]) grid), in
+    cell and ``all_paths`` order; a candidate is a position in
+    ``space.simplices(p + dims[k])``.  Results are the slots' positions in
+    lexicographic candidate order, reversed by ``prefer_large``.  A cell's
+    paths are linked by unit-square flips, read off the face table: the
+    first link picks one bucket of the candidates, which keeps the scan
+    near output-linear, and any further links filter it.  Each of the
+    ``equations``, ``((k, m, psi), (k', m', phi))``, asks two slots to
+    agree after acting, through one :class:`_ActRow` per map; it is
+    dropped when both sides are equal and checked when its later slot is
+    set, whose bucket it picks when no flip does.  ``seats`` places each
+    vertex of the source as the vertex j of a cell k, over a regular
+    target: a branch dies once, at some column c, every vertex's edge is
+    read and degenerate.  At its seat that edge is the step c + j of a
+    turning path, and the edge (s, s + 1) of (epi, x) is degenerate
+    exactly when epi repeats at s; :func:`dim_hom_general` proves it.
     """
-    links = flip_constraints(p, n)
-    # in degree 0 there is a single path, so no face is ever looked up
-    faces = space.face_table(p + n) if p + n else ()
-    buckets = {}
+    offsets = [sum(len(all_paths(p, e)) for e in dims[:k]) for k in range(len(dims) + 1)]
+    size = offsets[-1]
+    pools = []
+    for k, d in enumerate(dims):
+        candidates = range(len(space.simplices(p + d)))[:: -1 if prefer_large else 1]
+        # a grid with one row or column has a single path: no face is read
+        base = (candidates, space.face_table(p + d) if p and d else (), {})
+        pools += [base + ([(offsets[k] + m, i) for m, i in lk],) for lk in flip_constraints(p, d)]
 
-    def pool(m, assign):
-        lk = links[m]
+    def agreeing(hits, wants, faces):
+        for z in hits:
+            row = faces[z]
+            for i, want in wants:
+                if row[i] != want:
+                    break
+            else:
+                yield z
+
+    def pool(s, assign):
+        candidates, faces, buckets, lk = pools[s]
         if not lk:
-            return candidates
-        m0, i0 = lk[0]
-        table = buckets.get(i0)
+            # a cell's first path buckets on its equation with an earlier slot
+            if s not in checks or checks[s][0][0] == s:
+                return candidates
+            a, r, mine = checks[s][0]
+            table = heads.get(s)
+            if table is None:
+                table = heads[s] = {}
+                for z in candidates:
+                    table.setdefault(mine[z], []).append(z)
+            return table.get(r[assign[a]], ())
+        a, i = lk[0]
+        table = buckets.get(i)
         if table is None:
-            table = buckets[i0] = {}
+            table = buckets[i] = {}
             for z in candidates:
-                table.setdefault(faces[z][i0], []).append(z)
-        hits = table.get(faces[assign[m0]][i0], ())
+                table.setdefault(faces[z][i], []).append(z)
+        hits = table.get(faces[assign[a]][i], ())
         if len(lk) == 1 or not hits:
             return hits
-        return _linked(hits, [(ii, faces[assign[mm]][ii]) for mm, ii in lk[1:]], faces)
+        return agreeing(hits, [(i, faces[assign[a]][i]) for a, i in lk[1:]], faces)
 
-    return pool
+    rows, heads = {}, {}
+    checks = {}  # slot -> [(earlier slot, its row, this slot's row)]
+    for (k, m, psi), (kk, mm, phi) in equations:
+        a, b = offsets[k] + m, offsets[kk] + mm
+        if a > b:
+            a, psi, b, phi = b, phi, a, psi
+        if (a, psi) != (b, phi):
+            row, mine = (rows.setdefault(x, _ActRow(space, x)) for x in (psi, phi))
+            checks.setdefault(b, []).append((a, row, mine))
+    for listed in checks.values():
+        listed.sort(key=lambda check: check[0])
+    triggers = {}
+    if seats and p:
+        collapses = {d: [x.epi.values for x in space.simplices(p + d)] for d in dims}
+        for c in range(p):
+            reads = [
+                (offsets[k] + _turning_paths(p, dims[k])[c][j], collapses[dims[k]], c + j)
+                for k, j in seats
+            ]
+            triggers.setdefault(max(a for a, _, _ in reads), []).append(reads)
 
+    def doomed(m, assign):
+        for a, r, mine in checks.get(m, ()):
+            if mine[assign[m]] != r[assign[a]]:
+                return True
+        for reads in triggers.get(m, ()):
+            for a, values, s in reads:
+                v = values[assign[a]]
+                if v[s] != v[s + 1]:
+                    break
+            else:
+                return True
+        return False
 
-def _search(space, n, p, prefer_large, doomed=None):
-    """The body of :func:`iter_hom_simplices`; ``doomed(m, assign)``, if
-    given, prunes the search over positions as in ``simpset._backtrack``."""
-    candidates = range(len(space.simplices(p + n)))
-    if prefer_large:
-        candidates = candidates[::-1]
-    pool = _path_pool(space, n, p, candidates)
-    for positions in _backtrack(len(all_paths(p, n)), pool, doomed):
-        yield HomSimplex(space, p, n, _Positions(positions))
+    return _backtrack(size, pool, doomed if checks or triggers else None)
 
 
 def _non_negative(**degrees):
@@ -281,7 +336,8 @@ def iter_hom_simplices(space, n, p, prefer_large=False):
     ``ValueError`` when the stream starts.
     """
     _non_negative(n=n, p=p)
-    yield from _search(space, n, p, prefer_large)
+    for positions in _search(space, p, (n,), prefer_large=prefer_large):
+        yield HomSimplex(space, p, n, _Positions(positions))
 
 
 def enumerate_hom_simplices(space, n, p):
@@ -519,48 +575,20 @@ class HomDimension:
         return str(self.value) if self.exact else ">= %d" % (self.value,)
 
 
-def _column_doom(space, n, p):
-    """The ``doomed`` test of :func:`_search` that prunes degenerate columns.
-
-    The edges over column k are read off n + 1 specific paths, so as soon
-    as the last of them is assigned and every edge over the column turned
-    out degenerate, no completion of the branch lacks such a column.  The
-    target is regular, so the edge (s, s + 1) of a simplex (epi, c) is
-    degenerate exactly when epi repeats at s: otherwise it is the
-    elementary edge epi(s) of the nondegenerate c, which regularity keeps
-    nondegenerate.  So each test compares two collapse values.
-    """
-    canon = _turning_paths(p, n)
-    triggers = [[] for _ in all_paths(p, n)]
-    for k in range(p):
-        triggers[max(canon[k])].append(k)
-    values = [x.epi.values for x in space.simplices(p + n)]
-
-    def doomed(m, assign):
-        for k in triggers[m]:
-            if all(
-                values[assign[canon[k][j]]][k + j] == values[assign[canon[k][j]]][k + j + 1]
-                for j in range(n + 1)
-            ):
-                return True
-        return False
-
-    return doomed
-
-
 def _iter_nondegenerate(space, n, p, regular, prefer_large=False):
     """Stream the nondegenerate p-simplices of Hom(D^n, X) in search order.
 
-    A degenerate simplex always has a fully degenerate column.  Over a
-    regular target the converse holds too (checked exhaustively
-    elsewhere), so the search prunes every branch as soon as one of its
-    columns is fully degenerate and keeps all it yields.  Over any other
-    target each simplex is settled by :func:`is_degenerate_hom`, which
-    reads its collapse values.
+    A degenerate simplex always has a fully degenerate column, and over a
+    regular target the converse holds too, so the search, seated on the
+    n + 1 vertices of D^n, prunes such columns and keeps all it yields.
+    Over any other target :func:`is_degenerate_hom` settles each simplex.
     """
-    if regular:
-        return _search(space, n, p, prefer_large, _column_doom(space, n, p))
-    return (f for f in _search(space, n, p, prefer_large) if not is_degenerate_hom(f))
+    seats = [(0, j) for j in range(n + 1)] if regular else ()
+    found = (
+        HomSimplex(space, p, n, _Positions(z))
+        for z in _search(space, p, (n,), (), seats, prefer_large)
+    )
+    return found if regular else (f for f in found if not is_degenerate_hom(f))
 
 
 def _spans_simplex(space, cell):
@@ -686,90 +714,55 @@ def _pieces(source):
     return pieces
 
 
-def _family_search(source, space, p, maximal):
-    """The search behind :func:`iter_hom_families`, on integer positions.
-
-    Returns ``(component, family, results)``: ``results`` streams, per
-    family, the position z of each maximal cell w's value in
-    ``enumerate_hom_simplices(space, dim w, p)``, read back by
-    ``component(dim w, z)``; ``family`` gives the value of every cell.
-    A candidate carries the positions it forces below its cell: restrict
-    along each face entry, top dimension first, pull back along the
-    first-preimage section of a collapse that is not the identity, and
-    drop it when pushing forward changes the restriction or two routes
-    disagree.  Reindexes are memoised on (map, position) for the call.
+def _families(source, space, p, prune=False):
+    """Stream the p-simplices of Hom(U, X), one value per cell of U, from
+    :func:`_search` on the maximal cells of U.  The first maximal w whose
+    closure holds u owns it, along a route gamma_u : [dim u] -> [dim w] of
+    face maps and first-preimage sections: x_u o d_i = x_g o epi gives
+    x_g = x_u o d_i o section(epi), so x_u is x_w reindexed along gamma_u.
+    Each face entry (i, epi, g) of u equates the plans of gamma_u o d_i
+    and gamma_g o epi on each path of the (p, dim u - 1) grid.  With
+    ``prune`` each vertex sits at its first place, seen first.
     """
-    cells = source.cells
-    index = {u: i for i, u in enumerate(cells)}
+    maximal = _maximal_cells(source)
     ident = identity_map(p)
-    lists = {}
-    pulled = {}
-
-    def listed(d):
-        hit = lists.get(d)
-        if hit is None:
-            simplices = enumerate_hom_simplices(space, d, p)
-            hit = lists[d] = simplices, {f.positions: z for z, f in enumerate(simplices)}
-        return hit
-
-    def pull(gamma, z):
-        hit = pulled.get((gamma, z))
-        if hit is None:
-            f = hom_bireindex(listed(gamma.target)[0][z], ident, gamma)
-            hit = pulled[gamma, z] = listed(gamma.source)[1][f.positions]
-        return hit
-
-    def steps(u):
-        for i, fs in enumerate(source.faces[u]):
-            epi = fs.epi
-            section = None if epi.is_identity else _first_section(epi)
-            yield face_map(i, u.dim), epi, section, index[fs.generator]
-
-    walk = [tuple(steps(u)) for u in cells]
-
-    def forced(closure, z):
-        value = {closure[0]: z}
-        for u in closure:
-            for face, epi, section, g in walk[u]:
-                r = v = pull(face, value[u])
-                if section is not None:
-                    v = pull(section, r)
-                    if pull(epi, v) != r:
-                        return None
-                if value.setdefault(g, v) != v:
-                    return None
-        return tuple(value[u] for u in closure)
-
-    owner = [None] * len(cells)  # (first slot whose closure holds the cell, place there)
-    slots = []
+    route = {}
     for k, w in enumerate(maximal):
-        closure = sorted(
-            (index[u] for u in _face_closure(source, [w])), key=lambda i: (-cells[i].dim, i)
+        route[w] = (k, identity_map(w.dim))
+        # faces are smaller than their cell, so each cell has its route here
+        for u in sorted(_face_closure(source, [w]), key=lambda u: (-u.dim, u)):
+            owner, gamma = route[u]
+            for i, fs in enumerate(source.faces[u]):
+                step = compose_monotone(face_map(i, u.dim), _first_section(fs.epi))
+                route.setdefault(fs.generator, (owner, compose_monotone(gamma, step)))
+    equations = (
+        ((route[u][0], m, psi), (route[fs.generator][0], mm, phi))
+        for u in source.cells
+        for i, fs in enumerate(source.faces[u])
+        for (m, psi), (mm, phi) in zip(
+            _reindex_plan(ident, compose_monotone(route[u][1], face_map(i, u.dim))),
+            _reindex_plan(ident, compose_monotone(route[fs.generator][1], fs.epi)),
         )
-        shared = [(owner[u], t) for t, u in enumerate(closure) if owner[u] is not None]
-        for t, u in enumerate(closure):
-            owner[u] = owner[u] or (k, t)
-        table, buckets = {}, {}
-        for z in range(len(listed(w.dim)[0])):
-            vals = forced(closure, z)
-            if vals is not None:
-                table[z] = vals
-                buckets.setdefault(tuple(vals[t] for _, t in shared), []).append(z)
-        slots.append((table, [o for o, _ in shared], buckets))
-
-    def pool(k, assign):
-        _, keys, buckets = slots[k]
-        return buckets.get(tuple(slots[j][0][assign[j]][t] for j, t in keys), ())
-
-    def component(d, z):
-        return listed(d)[0][z]
-
-    def family(positions):
-        return tuple(
-            component(u.dim, slots[j][0][positions[j]][t]) for u, (j, t) in zip(cells, owner)
-        )
-
-    return component, family, _backtrack(len(maximal), pool)
+    )
+    seats = {}
+    for k, w in enumerate(maximal if prune else ()):
+        for j in range(w.dim + 1):
+            seats.setdefault(source.normal_values(w, (j,))[0], (k, j))
+    ends = [sum(len(all_paths(p, w.dim)) for w in maximal[:k]) for k in range(len(maximal) + 1)]
+    rows, reads = {}, []
+    for u in source.cells:
+        k, gamma = route[u]
+        plan = [(i, rows.setdefault(x, _ActRow(space, x))) for i, x in _reindex_plan(ident, gamma)]
+        reads.append((u.dim, ends[k], ends[k + 1], plan, {}))
+    for positions in _search(space, p, [w.dim for w in maximal], equations, list(seats.values())):
+        family = []
+        for d, start, end, plan, known in reads:
+            z = positions[start:end]
+            f = known.get(z)
+            if f is None:
+                f = known[z] = HomSimplex(space, p, d, _Positions([row[z[i]] for i, row in plan]))
+            family.append(f)
+        yield tuple(family)
 
 
 def iter_hom_families(source, space, p):
@@ -778,18 +771,14 @@ def iter_hom_families(source, space, p):
     A simplex is a family assigning to every cell of U (of dimension m) a
     p-simplex of Hom(D^m, X), such that restricting along the i-th face
     inclusion matches the face-table entry of U, degeneracies included.
-    A family is determined on the maximal cells of U, so the search has
-    one slot per maximal cell, top dimension first, whose pool is the one
-    bucket agreeing with earlier slots on the cells they share.  Families
-    come in lexicographic order of their maximal values' positions in
-    :func:`enumerate_hom_simplices`, each with one value per cell of U.
+    The search fills the paths of the maximal cells of U, top dimension
+    first, so families come in lexicographic order of their maximal
+    values' positions in :func:`enumerate_hom_simplices`.
     A negative p raises ``ValueError`` when the stream starts.
     """
     _non_negative(p=p)
-    cells = source.cells
-    _, family, results = _family_search(source, space, p, _maximal_cells(source))
-    for positions in results:
-        yield HomFamily(source, space, p, cells, family(positions))
+    for values in _families(source, space, p):
+        yield HomFamily(source, space, p, source.cells, values)
 
 
 def hom_general(source, space, p):
@@ -812,28 +801,38 @@ def theorem1bis_bound(source, space):
 def dim_hom_general(source, space, degree_cap=None):
     """Dimension of Hom(U, X), exact for regular X.
 
-    A source in several connected pieces A, B, ... is answered piece by
-    piece: Hom(A + B, X) is Hom(A, X) x Hom(B, X), and a product has
+    A source in connected pieces A, B, ... is answered piece by piece:
+    Hom(A + B, X) is Hom(A, X) x Hom(B, X), and a product has
     nondegenerate simplices exactly in the degrees [max(i, j), i + j] for
-    nondegenerate i-simplices of one factor and j-simplices of the other.
-    Over a nonempty target every piece answers at least 0, so the
-    dimension is the sum of the pieces', cut to the cap when one is needed.
+    nondegenerate i- and j-simplices of its factors.  Over a nonempty
+    target each piece answers at least 0, so the dimensions add, cut to
+    the cap when one is needed.
 
     When a connected U is a standard simplex by its cells (one maximal
     cell w, which spans a simplex), Hom(U, X) is Hom(D^{dim w}, X) and
     :func:`dim_hom` answers, capped or not.  Otherwise the scan runs down
     from the cap, or over a regular target from the vertex bound
-    |U_0| * dim X.  By the column criterion a family is degenerate at k
-    exactly when the edge at k of every vertex component x_u in X_p is
-    degenerate, so each column needs some x_u nondegenerate there.
-    Written x_u = (epi, c), it has at most dim c <= dim X nondegenerate
-    elementary edges, hence p <= |U_0| * dim X.
+    |U_0| * dim X, and each degree stops at its first nondegenerate family.
 
-    Each degree stops at the first nondegenerate family: one whose maximal
-    components share no degenerate column.  Only the maximal components
-    are read, their column sets memoised on (dimension, position) for that
-    degree: the others are source-direction reindexings of them, which
-    commute with the simplex-direction degeneracies.
+    The column criterion: over a regular X a family is degenerate at k
+    exactly when the edge at k of every vertex component x_v in X_p is.
+    Its other components are source-direction reindexings of the maximal
+    ones, which commute with simplex-direction degeneracies, so it is
+    degenerate at k exactly when every maximal x_w is.  By
+    :func:`_degenerate_columns` that holds when on every path the collapse
+    of x_w repeats at the step across column k, and over a regular X the
+    edge (s, s + 1) of a simplex (epi, c) is degenerate exactly when epi
+    repeats at s.  Each grid edge (k, j) -> (k + 1, j) is some path's
+    step, and it is the edge at k of x_v for v the j-th vertex of w, as
+    restricting the family to that vertex gives x_v.  Hence a branch whose
+    read vertex edges at some column are all degenerate, one read per
+    vertex wherever it sits, has only degenerate completions, and a family
+    without such a column is nondegenerate: the pruned search answers with
+    its first family.  And every column needs some x_v = (epi, c)
+    nondegenerate there, which has at most dim c <= dim X nondegenerate
+    elementary edges, so p <= |U_0| * dim X.  Over an irregular target
+    each family is tested whole: it is nondegenerate when its maximal
+    components share no column of :func:`_degenerate_columns`.
     """
     _non_negative(degree_cap=degree_cap)
     if space.dim < 0:
@@ -850,22 +849,18 @@ def dim_hom_general(source, space, degree_cap=None):
         return dim_hom(space, maximal[0].dim, degree_cap)
     regular = _regular_or_capped(space, degree_cap)
     start = len(source.cells_of_dim(0)) * space.dim if regular else degree_cap
+    tops = [source.cells.index(w) for w in maximal]
     for p in range(start, -1, -1):
-        component, _, results = _family_search(source, space, p, maximal)
-        memo = {}
-
-        def columns(d, z):
-            hit = memo.get((d, z))
-            if hit is None:
-                hit = memo[d, z] = _degenerate_columns(component(d, z))
-            return hit
-
-        for positions in results:
-            shared = set(range(p)).intersection(
-                *(columns(w.dim, z) for w, z in zip(maximal, positions))
+        families = _families(source, space, p, prune=regular)
+        if regular:
+            found = next(families, None) is not None
+        else:
+            found = any(
+                not set(range(p)).intersection(*(_degenerate_columns(values[t]) for t in tops))
+                for values in families
             )
-            if not shared:
-                return HomDimension(p, regular)
+        if found:
+            return HomDimension(p, regular)
     return HomDimension(-1, regular)
 
 

@@ -85,12 +85,12 @@ def satisfies_pr(space, r, degree_cap=None):
     """Whether degenerate edges of width <= r only arise from block collapses.
 
     When no cell has a degenerate edge of width <= r (the table of the
-    module docstring), the answer is true at once.  Otherwise every simplex
-    x of degree r to ``degree_cap`` is enumerated in its normal form, and
-    for every position i the edge from i to i + r of x is read off the
-    table.  If that edge is degenerate, x itself must be constant on the
-    block {i, ..., i + r} under its collapse; the first simplex violating
-    this is returned as the witness.
+    module docstring), the answer is true at once.  Otherwise the simplices
+    x of degree r to ``degree_cap`` on the cells with such an edge are
+    streamed in canonical order, keeping no degree, and for every position
+    i the edge from i to i + r of x is read off the table.  If that edge is
+    degenerate, x itself must be constant on the block {i, ..., i + r}
+    under its collapse; the first simplex violating this is the witness.
     """
     if r < 1:
         raise ValueError("the collapse property needs a width r >= 1")
@@ -101,10 +101,11 @@ def satisfies_pr(space, r, degree_cap=None):
             "degree cap %d is below the dimension %d" % (degree_cap, space.dim)
         )
     table = {c: _degenerate_edges(space, c, r) for c in space.cells}
-    if not any(table.values()):
+    faulty = {c for c, bad in table.items() if bad}
+    if not faulty:
         return RegularityReport(True)
     for degree in range(r, degree_cap + 1):
-        for x in space.simplices(degree):
+        for x in space.iter_simplices(degree, faulty):
             v, bad = x.epi.values, table[x.generator]
             for i in range(degree - r + 1):
                 if (v[i], v[i + r]) in bad:

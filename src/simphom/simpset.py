@@ -242,22 +242,25 @@ class SimplicialSet:
         return self.apply_map(degeneracy_map(k, x.degree), x)
 
     def simplices(self, degree):
-        """All simplices of a given degree, in canonical order.
-
-        The order is: generator cell (by dimension, then name), then the
-        collapse word in ascending lexicographic order.
-        """
+        """All simplices of a given degree, in the canonical order of
+        :meth:`iter_simplices`, kept per degree."""
         cached = self._simplex_cache.get(degree)
         if cached is None:
-            out = []
-            for c in self._cells:
-                if c.dim > degree:
-                    continue
-                for repeats in combinations(range(degree), degree - c.dim):
-                    out.append(FormalSimplex(surjection_from_repeats(degree, repeats), c))
-            cached = tuple(out)
-            self._simplex_cache[degree] = cached
+            cached = self._simplex_cache[degree] = tuple(self.iter_simplices(degree))
         return cached
+
+    def iter_simplices(self, degree, cells=None):
+        """Stream the simplices of a degree in canonical order, keeping none.
+
+        The order is: generator cell (by dimension, then name), then the
+        collapse word in ascending lexicographic order.  With ``cells``,
+        only the simplices on those generators come, in the same order.
+        """
+        for c in self._cells:
+            if c.dim > degree or (cells is not None and c not in cells):
+                continue
+            for repeats in combinations(range(degree), degree - c.dim):
+                yield FormalSimplex(surjection_from_repeats(degree, repeats), c)
 
     def face_table(self, degree):
         """The faces of every simplex of a degree >= 1, as integer positions.

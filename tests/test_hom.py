@@ -533,6 +533,29 @@ class TestAssembledComplex:
         assert skeleton.dim <= 2 and len(legend) == len(skeleton.cells)
 
 
+def _family_sources():
+    """Sources with their top degree: 2 for each but the boundary of D^3."""
+    pt = delta(0)
+    return [
+        (boundary_delta(2), 2),
+        (horn(2, 1), 2),
+        (delta(1), 2),
+        (disjoint_sum(pt, pt), 2),
+        (disjoint_sum(pt, delta(1)), 2),
+        (quotient(delta(2), ["0,2"]), 2),
+        (boundary_delta(3), 1),
+        (collapsed_ball(1), 2),  # a loop: both faces of its edge are one vertex
+        (collapsed_ball(2), 2),
+        (product(delta(1), delta(1)), 2),
+        (SimplicialSet([], {}), 2),
+        (quotient(delta(2), ["0,1", "1,2"]), 2),
+    ]
+
+
+def _family_targets():
+    return [delta(1), delta(2), quotient(delta(2), ["0,2"])]
+
+
 class TestGeneralSource:
     def test_point_source_recovers_target(self):
         point = delta(0)
@@ -586,25 +609,8 @@ class TestGeneralSource:
         }
 
     def test_families_match_the_face_equations_and_the_brute_force_count(self):
-        pt = delta(0)
-        # (source, top degree): degree 2 for each but the boundary of D^3
-        sources = [
-            (boundary_delta(2), 2),
-            (horn(2, 1), 2),
-            (delta(1), 2),
-            (disjoint_sum(pt, pt), 2),
-            (disjoint_sum(pt, delta(1)), 2),
-            (quotient(delta(2), ["0,2"]), 2),
-            (boundary_delta(3), 1),
-            (collapsed_ball(1), 2),  # a loop: both faces of its edge are one vertex
-            (collapsed_ball(2), 2),
-            (product(delta(1), delta(1)), 2),
-            (SimplicialSet([], {}), 2),
-            (quotient(delta(2), ["0,1", "1,2"]), 2),
-        ]
-        targets = [delta(1), delta(2), quotient(delta(2), ["0,2"])]
-        for source, top in sources:
-            for target in targets:
+        for source, top in _family_sources():
+            for target in _family_targets():
                 for p in range(top + 1):
                     fams = hom_general(source, target, p)
                     ident = identity_map(p)
@@ -619,6 +625,23 @@ class TestGeneralSource:
                     assert len({fam.values for fam in fams}) == len(fams)
                     count = brute_force_hom_count(source, target, p)
                     assert len(fams) == count, (source, target, p)
+
+    def test_families_come_in_the_order_of_their_maximal_values(self):
+        # the documented order: lexicographic in the positions of the
+        # maximal cells' values in enumerate_hom_simplices
+        for source, top in _family_sources():
+            maximal = _maximal_cells(source)
+            for target in _family_targets():
+                for p in range(top + 1):
+                    index = {
+                        d: {f: z for z, f in enumerate(enumerate_hom_simplices(target, d, p))}
+                        for d in {w.dim for w in maximal}
+                    }
+                    keys = [
+                        tuple(index[w.dim][fam.value(w)] for w in maximal)
+                        for fam in iter_hom_families(source, target, p)
+                    ]
+                    assert all(a < b for a, b in zip(keys, keys[1:])), (source, target, p)
 
     def test_boundary_of_the_triangle_into_two_dimensional_targets(self):
         # the three vertex pools alone multiply out to millions of triples
@@ -743,6 +766,27 @@ class TestVertexBound:
             expected = _slow_top_degree(source, collapsed_ball(2), cap)
             got = dim_hom_general(source, collapsed_ball(2), degree_cap=cap)
             assert got == HomDimension(expected, False), cap
+
+    def test_scans_over_cyclic_sources_answer_within_the_wall_bound(self):
+        # each of these scans took from 2 s to over a minute while every
+        # slot's whole table was listed before the first family was tested
+        q2 = quotient(delta(2), ["0,2"])
+        q3 = quotient(delta(3), ["0,3"])
+        prodq = product(q2, delta(1))
+        lurie_q4 = {entry.name: entry.space for entry in corpus(0)}["lurie-q4"]
+        cases = [
+            # q3 has one strongly connected vertex class, yet its answer
+            # over q2 exceeds that count times dim q2 = 2
+            (q3, q2, None, HomDimension(4, True)),
+            (q3, delta(2), None, HomDimension(2, True)),
+            (prodq, q2, None, HomDimension(4, True)),
+            (prodq, delta(2), None, HomDimension(4, True)),
+            (lurie_q4, collapsed_ball(3), 2, HomDimension(2, False)),
+        ]
+        for source, target, cap, expected in cases:
+            started = time.monotonic()
+            assert dim_hom_general(source, target, degree_cap=cap) == expected
+            assert time.monotonic() - started < 5, (source, target)
 
     def test_a_directed_vertex_cycle_stays_below_the_vertex_bound(self):
         # the vertices * and 1 of D^2/(0,2) form a directed cycle

@@ -191,6 +191,19 @@ class TestBlockCollapseProperty:
         assert satisfies_pr(delta(2), 10**6)
         assert time.perf_counter() - start < 1
 
+    def test_a_violation_at_a_large_width_keeps_no_degree(self):
+        # the least witness lies on the triangle, the one cell with a
+        # degenerate edge; no list of degree-200 simplices is built for it
+        space = squashed_triangle()
+        start = time.perf_counter()
+        report = satisfies_pr(space, 200)
+        assert time.perf_counter() - start < 1
+        assert not report
+        x, i = report.witness
+        assert (x.generator.name, x.degree, i) == ("0,1,2", 200, 0)
+        assert x.epi.values == (0,) * 199 + (1, 2)
+        assert 200 not in vars(space)["_simplex_cache"]
+
     def test_default_cap_matches_larger_caps(self):
         # raising the cap beyond the default never changes the verdict
         for space in [squashed_triangle(), collapsed_ball(2), delta(2)]:

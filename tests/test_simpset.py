@@ -118,6 +118,19 @@ class TestNormalForms:
         sims = delta(1).simplices(2)
         assert [s.token() for s in sims] == ["s1s0:0", "s1s0:1", "s0:0,1", "s1:0,1"]
 
+    def test_streamed_simplices_keep_the_canonical_order_on_any_cells(self):
+        space = quotient(delta(2), ["0,2"])
+        edges = set(space.cells_of_dim(1))
+        for degree in range(5):
+            every = space.simplices(degree)
+            assert tuple(space.iter_simplices(degree)) == every
+            assert tuple(space.iter_simplices(degree, edges)) == tuple(
+                x for x in every if x.generator in edges
+            )
+        assert 5 not in vars(space)["_simplex_cache"]
+        assert next(space.iter_simplices(5, edges)).generator.dim == 1
+        assert 5 not in vars(space)["_simplex_cache"]
+
     def test_degenerate_flag(self):
         e = cell_simplex(delta(1).cell("0,1"))
         assert not e.is_degenerate
