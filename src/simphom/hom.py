@@ -12,12 +12,13 @@ On top of the encoding this module provides:
 * exhaustive enumeration of the p-simplices for a finite target, by one
   search on integer positions through ``simpset._backtrack``, whose
   explicit stack grows no recursion with the number of paths.  A
-  candidate is a position in the target's list of (p + n)-simplices, a
-  flip check compares two entries of its integer face table, and a
-  result builds its target simplices only when ``values`` is first read.
-  Pruned at the first fully degenerate column over a regular target, the
-  search streams the nondegenerate simplices that :func:`dim_hom` and
-  :func:`hom_complex` read;
+  candidate is a position in the target's list of (p + n)-simplices,
+  every constraint compares two positions after acting, each through
+  one of the target's action rows, and a result builds its target
+  simplices only when ``values`` is first read.  Pruned at the first
+  fully degenerate column over a regular target, the search streams the
+  nondegenerate simplices that :func:`dim_hom` and :func:`hom_complex`
+  read;
 * the simplicial structure (faces, degeneracies, reindexing along any
   monotone map, in both grid directions), each reindex following a plan
   worked out once per shape: for every small path, the index of its
@@ -47,13 +48,13 @@ On top of the encoding this module provides:
   a regular target starts at the vertex bound |U_0| * dim X.
 
 Computing Hom(U, X) keeps no state of its own on X.  Every memo of a
-search (candidate buckets, the action rows of its equations, a family
-stream's derived values) is a local of the call that fills it.  Only the
-reindex plans, the turning paths' indexes and the column steps outlive a
-call, in one process-wide ``lru_cache`` entry per grid shape, as do the
-``lru_cache`` tables of ``paths`` and ``delta``.  The target's own action
-rows, filled through :meth:`~simphom.simpset.SimplicialSet.act`, belong
-to the target and are documented in ``simpset``.
+search (candidate buckets, a family stream's derived values) is a local
+of the call that fills it.  Only the reindex plans, the turning paths'
+indexes and the column steps outlive a call, in one process-wide
+``lru_cache`` entry per grid shape, as do the ``lru_cache`` tables of
+``paths`` and ``delta``.  The action rows, read through
+:meth:`~simphom.simpset.SimplicialSet.act` and ``face_table``, belong to
+the target and are documented in ``simpset``.
 """
 
 from __future__ import annotations
@@ -207,91 +208,82 @@ def validate_hom_simplex(f):
 # Enumeration.
 # ---------------------------------------------------------------------------
 
-class _ActRow(dict):
-    """``space.act(psi, z)`` by z, resolved on first read, so a search
-    hashes ``psi`` once and then reads integers."""
-
-    def __init__(self, space, psi):
-        self.space, self.psi = space, psi
-
-    def __missing__(self, z):
-        k = self[z] = z if self.psi.is_identity else self.space.act(self.psi, z)
-        return k
-
-
 def _search(space, p, dims, equations=(), seats=(), prefer_large=False):
     """The one backtracking search of this module, on integer positions.
 
     Its slots are the pairs (cell k, path m of the (p, dims[k]) grid), in
     cell and ``all_paths`` order; a candidate is a position in
     ``space.simplices(p + dims[k])``.  Results are the slots' positions in
-    lexicographic candidate order, reversed by ``prefer_large``.  A cell's
-    paths are linked by unit-square flips, read off the face table: the
-    first link picks one bucket of the candidates, which keeps the scan
-    near output-linear, and any further links filter it.  Each of the
-    ``equations``, ``((k, m, psi), (k', m', phi))``, asks two slots to
-    agree after acting, through one :class:`_ActRow` per map; it is
-    dropped when both sides are equal and checked when its later slot is
-    set, whose bucket it picks when no flip does.  ``seats`` places each
-    vertex of the source as the vertex j of a cell k, over a regular
-    target: a branch dies once, at some column c, every vertex's edge is
-    read and degenerate.  At its seat that edge is the step c + j of a
-    turning path, and the edge (s, s + 1) of (epi, x) is degenerate
-    exactly when epi repeats at s; :func:`dim_hom_general` proves it.
+    lexicographic candidate order, reversed by ``prefer_large``.
+
+    Every constraint is one check ``(a, r, mine)`` of a later slot: its
+    candidate z passes when ``mine[z] == r[assign[a]]``.  A unit-square
+    flip at the point i between two paths of one cell reads the row
+    ``face_table(p + d)[i]`` on both sides.  Each of the ``equations``,
+    ``((k, m, psi), (k', m', phi))``, reads the rows ``act(psi)`` and
+    ``act(phi)``; it is dropped when both sides are equal, and one that
+    reads a single slot twice narrows that slot's candidates once.  A
+    slot's first check picks one bucket of its candidates, which keeps the
+    scan near output-linear, and the others filter it; buckets keep
+    candidate order and are shared by slots with one candidate list and
+    row.
+
+    ``seats`` places each vertex of the source as the vertex j of a cell
+    k, over a regular target: a branch dies once, at some column c, every
+    vertex's edge is read and degenerate.  At its seat that edge is the
+    step c + j of a turning path, and the edge (s, s + 1) of (epi, x) is
+    degenerate exactly when epi repeats at s; :func:`dim_hom_general`
+    proves it.
     """
     offsets = [sum(len(all_paths(p, e)) for e in dims[:k]) for k in range(len(dims) + 1)]
-    size = offsets[-1]
-    pools = []
+    candidates = {d: range(len(space.simplices(p + d)))[:: -1 if prefer_large else 1] for d in dims}
+    slots = [candidates[d] for d in dims for _ in all_paths(p, d)]
+    checks = [[] for _ in slots]
     for k, d in enumerate(dims):
-        candidates = range(len(space.simplices(p + d)))[:: -1 if prefer_large else 1]
         # a grid with one row or column has a single path: no face is read
-        base = (candidates, space.face_table(p + d) if p and d else (), {})
-        pools += [base + ([(offsets[k] + m, i) for m, i in lk],) for lk in flip_constraints(p, d)]
+        faces = space.face_table(p + d) if p and d else ()
+        for m, links in enumerate(flip_constraints(p, d)):
+            checks[offsets[k] + m] = [(offsets[k] + a, faces[i], faces[i]) for a, i in links]
+    for (k, m, psi), (kk, mm, phi) in equations:
+        a, b = offsets[k] + m, offsets[kk] + mm
+        if a > b:
+            a, psi, b, phi = b, phi, a, psi
+        if a != b:
+            checks[b].append((a, space.act(psi), space.act(phi)))
+        elif psi != phi:
+            r, mine = space.act(psi), space.act(phi)
+            slots[b] = [z for z in slots[b] if r[z] == mine[z]]
+    shelves = {}  # (candidates, row) -> [their buckets, once built]
+    for s, listed in enumerate(checks):
+        first = None
+        if listed:
+            a, r, mine = listed[0]
+            first = (a, r, mine, shelves.setdefault((id(slots[s]), id(mine)), [None]))
+        slots[s] = (slots[s], first, listed[1:])
 
-    def agreeing(hits, wants, faces):
+    def agreeing(hits, wants):
         for z in hits:
-            row = faces[z]
-            for i, want in wants:
-                if row[i] != want:
+            for mine, want in wants:
+                if mine[z] != want:
                     break
             else:
                 yield z
 
     def pool(s, assign):
-        candidates, faces, buckets, lk = pools[s]
-        if not lk:
-            # a cell's first path buckets on its equation with an earlier slot
-            if s not in checks or checks[s][0][0] == s:
-                return candidates
-            a, r, mine = checks[s][0]
-            table = heads.get(s)
-            if table is None:
-                table = heads[s] = {}
-                for z in candidates:
-                    table.setdefault(mine[z], []).append(z)
-            return table.get(r[assign[a]], ())
-        a, i = lk[0]
-        table = buckets.get(i)
+        candidates, first, rest = slots[s]
+        if first is None:
+            return candidates
+        a, r, mine, shelf = first
+        table = shelf[0]
         if table is None:
-            table = buckets[i] = {}
+            table = shelf[0] = {}
             for z in candidates:
-                table.setdefault(faces[z][i], []).append(z)
-        hits = table.get(faces[assign[a]][i], ())
-        if len(lk) == 1 or not hits:
+                table.setdefault(mine[z], []).append(z)
+        hits = table.get(r[assign[a]], ())
+        if not rest or not hits:
             return hits
-        return agreeing(hits, [(i, faces[assign[a]][i]) for a, i in lk[1:]], faces)
+        return agreeing(hits, [(mine, r[assign[a]]) for a, r, mine in rest])
 
-    rows, heads = {}, {}
-    checks = {}  # slot -> [(earlier slot, its row, this slot's row)]
-    for (k, m, psi), (kk, mm, phi) in equations:
-        a, b = offsets[k] + m, offsets[kk] + mm
-        if a > b:
-            a, psi, b, phi = b, phi, a, psi
-        if (a, psi) != (b, phi):
-            row, mine = (rows.setdefault(x, _ActRow(space, x)) for x in (psi, phi))
-            checks.setdefault(b, []).append((a, row, mine))
-    for listed in checks.values():
-        listed.sort(key=lambda check: check[0])
     triggers = {}
     if seats and p:
         collapses = {d: [x.epi.values for x in space.simplices(p + d)] for d in dims}
@@ -303,9 +295,6 @@ def _search(space, p, dims, equations=(), seats=(), prefer_large=False):
             triggers.setdefault(max(a for a, _, _ in reads), []).append(reads)
 
     def doomed(m, assign):
-        for a, r, mine in checks.get(m, ()):
-            if mine[assign[m]] != r[assign[a]]:
-                return True
         for reads in triggers.get(m, ()):
             for a, values, s in reads:
                 v = values[assign[a]]
@@ -315,7 +304,7 @@ def _search(space, p, dims, equations=(), seats=(), prefer_large=False):
                 return True
         return False
 
-    return _backtrack(size, pool, doomed if checks or triggers else None)
+    return _backtrack(offsets[-1], pool, doomed if triggers else None)
 
 
 def _non_negative(**degrees):
@@ -395,7 +384,7 @@ def hom_bireindex(f, theta, gamma):
         f.space,
         theta.source,
         gamma.source,
-        _Positions(act(psi, positions[i]) for i, psi in _reindex_plan(theta, gamma)),
+        _Positions(act(psi)[positions[i]] for i, psi in _reindex_plan(theta, gamma)),
     )
 
 
@@ -443,7 +432,7 @@ def edge_restriction(f, k, j):
         raise ValueError("grid edge (%d, %d) out of range" % (k, j))
     p, n = f.width, f.height
     z = f.positions[_turning_paths(p, n)[k][j]]
-    return f.space.simplices(1)[f.space.act(edge_map(k + j, 1, p + n), z)]
+    return f.space.simplices(1)[f.space.act(edge_map(k + j, 1, p + n))[z]]
 
 
 def almost_degenerate_at(f, k):
@@ -454,7 +443,7 @@ def almost_degenerate_at(f, k):
     space, positions = f.space, f.positions
     edges = space.simplices(1)
     return all(
-        edges[space.act(edge_map(k + j, 1, p + n), positions[m])].is_degenerate
+        edges[space.act(edge_map(k + j, 1, p + n))[positions[m]]].is_degenerate
         for j, m in enumerate(_turning_paths(p, n)[k])
     )
 
@@ -541,8 +530,11 @@ def lemma4_witness(space, f, k):
     the path's step across column k.  Over a regular target a degenerate
     column always passes; otherwise the first path whose collapse does not
     repeat there raises :class:`RegularityViolation`, carrying that path's
-    simplex.
+    simplex.  ``space`` must be f's own target, whose positions f holds;
+    any other space raises ``ValueError``.
     """
+    if space is not f.space:
+        raise ValueError("f is a simplex over another target than the given space")
     if not 0 <= k < f.width:
         raise ValueError("column %d out of range" % (k,))
     if not almost_degenerate_at(f, k):
@@ -625,7 +617,7 @@ def _written_simplex(space, cell, p, n, chain):
     vertex values at the path's points gives a compatible family."""
     (z,) = _positions(space, cell.dim, [cell_simplex(cell)])
     maps = (MonotoneMap(p + n, cell.dim, chain(path)) for path in all_paths(p, n))
-    return HomSimplex(space, p, n, _Positions(space.act(psi, z) for psi in maps))
+    return HomSimplex(space, p, n, _Positions(space.act(psi)[z] for psi in maps))
 
 
 def _staircase_witness(space, cell, n):
@@ -749,10 +741,10 @@ def _families(source, space, p, prune=False):
         for j in range(w.dim + 1):
             seats.setdefault(source.normal_values(w, (j,))[0], (k, j))
     ends = [sum(len(all_paths(p, w.dim)) for w in maximal[:k]) for k in range(len(maximal) + 1)]
-    rows, reads = {}, []
+    reads = []
     for u in source.cells:
         k, gamma = route[u]
-        plan = [(i, rows.setdefault(x, _ActRow(space, x))) for i, x in _reindex_plan(ident, gamma)]
+        plan = [(i, space.act(x)) for i, x in _reindex_plan(ident, gamma)]
         reads.append((u.dim, ends[k], ends[k + 1], plan, {}))
     for positions in _search(space, p, [w.dim for w in maximal], equations, list(seats.values())):
         family = []

@@ -10,10 +10,10 @@ arbitrary monotone map is computed by :meth:`SimplicialSet.apply_map`,
 which re-normalises after pushing injections through the face table one
 step at a time.  It caches nothing: it is the library's independent slow
 reference.
-For searches, :meth:`SimplicialSet.face_table` gives the faces of all
-simplices of one degree as positions in the list of the degree below, and
-:meth:`SimplicialSet.act` acts by any monotone map on positions.  Both
-read collapse values and the face table through
+For searches, :meth:`SimplicialSet.act` gives the action of a monotone
+map on positions in the lists of simplices, as one row per map, and
+:meth:`SimplicialSet.face_table` holds the face maps' rows of one degree
+densely.  Both read collapse values and the cell face table by one rule,
 :meth:`SimplicialSet.normal_values`; neither goes through ``apply_map``.
 
 All constructors validate the simplicial identities eagerly, so a
@@ -26,10 +26,9 @@ concurrent reads.
 Each instance owns four caches, touched only by this module and dropped
 with it: ``_simplex_cache``, ``_face_tables`` and ``_position_indexes``
 (generator name and collapse values to position) hold one entry per
-degree asked for, and ``_act_rows`` one row per map that
-:meth:`SimplicialSet.act` acted by, as long as the list of simplices it
-acts on, whose entries are filled on first need.  The maps and degrees in
-use bound them, but nothing caps them.
+degree asked for, and ``_act_rows`` the row of each map that
+:meth:`SimplicialSet.act` was asked for, a ``dict`` of the entries read.
+The maps and degrees in use bound them, but nothing caps them.
 """
 
 from __future__ import annotations
@@ -210,28 +209,20 @@ class SimplicialSet:
         )
         return self.apply_map(reduced, self._faces[cell][j])
 
-    def act(self, psi, z):
-        """Act by ``psi`` on the simplex at position ``z``, on positions.
+    def act(self, psi):
+        """The action of ``psi`` on positions, as a row indexed by position.
 
-        Returns the position in ``simplices(psi.source)`` of
+        ``act(psi)[z]`` is the position in ``simplices(psi.source)`` of
         ``apply_map(psi, simplices(psi.target)[z])``.  It is read off
         collapse values and the cell face table by the rule of
-        :meth:`face_table`, never through :meth:`apply_map`, and kept in
-        one row per map, of one entry per simplex, each filled on first
-        need.
+        :meth:`face_table`, never through :meth:`apply_map`.  The row is a
+        ``dict`` kept per map, holding only the entries read so far; a
+        negative position or one past the end raises ``IndexError``.
         """
-        if z < 0:
-            raise IndexError("simplex position %d is negative" % (z,))
         row = self._act_rows.get(psi)
         if row is None:
-            row = self._act_rows[psi] = [None] * len(self.simplices(psi.target))
-        k = row[z]
-        if k is None:
-            x = self.simplices(psi.target)[z]
-            v = x.epi.values
-            cell, w = self.normal_values(x.generator, tuple(v[t] for t in psi.values))
-            k = row[z] = self._position_index(psi.source)[cell.name, w]
-        return k
+            row = self._act_rows[psi] = _ActionRow(self, psi)
+        return row
 
     def face(self, x, i):
         """The i-th face of a simplex (degree drops by one)."""
@@ -265,28 +256,25 @@ class SimplicialSet:
     def face_table(self, degree):
         """The faces of every simplex of a degree >= 1, as integer positions.
 
-        Entry ``[k][i]`` is the position in ``simplices(degree - 1)`` of the
-        i-th face of ``simplices(degree)[k]``.  It is read off the value
-        tuple v of the collapse and the cell's face table, never through
-        :meth:`apply_map`: dropping position i leaves the same cell when
-        v[i] is repeated on either side, and otherwise lands on the cell's
-        v[i]-th face entry, pulled back along the shifted tuple.
+        Entry ``[i][z]`` is ``act(face_map(i, degree))[z]``, the position of
+        the i-th face of ``simplices(degree)[z]``, held in one dense tuple
+        per i.  It is read off the collapse values v and the cell's face
+        table: dropping position i leaves the same cell when v[i] is
+        repeated on either side, and otherwise lands on the cell's v[i]-th
+        face entry, pulled back along the shifted tuple.
         """
         table = self._face_tables.get(degree)
         if table is None:
             if degree < 1:
                 raise ValueError("simplices of degree %d have no faces" % (degree,))
             position = self._position_index(degree - 1)
-            rows = []
+            columns = [[] for _ in range(degree + 1)]
             for x in self.simplices(degree):
                 v, cell = x.epi.values, x.generator
-                row = []
-                for i in range(degree + 1):
+                for i, column in enumerate(columns):
                     g, w = self._face_values(cell, v, i)
-                    row.append(position[g.name, w])
-                rows.append(tuple(row))
-            table = tuple(rows)
-            self._face_tables[degree] = table
+                    column.append(position[g.name, w])
+            table = self._face_tables[degree] = tuple(map(tuple, columns))
         return table
 
     def _position_index(self, degree):
@@ -347,6 +335,25 @@ class SimplicialSet:
                         raise ValueError(
                             "face identities fail on %r at (i=%d, j=%d)" % (c.name, i, j)
                         )
+
+
+class _ActionRow(dict):
+    """The row of :meth:`SimplicialSet.act`, each entry made on first read."""
+
+    __slots__ = ("space", "psi")
+
+    def __init__(self, space, psi):
+        self.space, self.psi = space, psi
+
+    def __missing__(self, z):
+        if z < 0:
+            raise IndexError("simplex position %d is negative" % (z,))
+        space, psi = self.space, self.psi
+        x = space.simplices(psi.target)[z]
+        v = x.epi.values
+        cell, w = space.normal_values(x.generator, tuple(v[t] for t in psi.values))
+        k = self[z] = space._position_index(psi.source)[cell.name, w]
+        return k
 
 
 def _positions(space, degree, simplices):

@@ -353,7 +353,7 @@ class TestDegeneracy:
 
     def test_degeneracy_verdicts_fill_no_action_entries(self):
         def filled(space):
-            return sum(k is not None for row in space._act_rows.values() for k in row)
+            return sum(len(row) for row in space._act_rows.values())
 
         for space in [delta(2), collapsed_ball(2)]:
             simplices = [f for p in range(4) for f in enumerate_hom_simplices(space, 1, p)]
@@ -406,6 +406,16 @@ class TestDegeneracy:
                                 assert k in columns
                                 assert hom_degeneracy(g, k) == f
         assert (cases, raised) == (12079, 5237)
+
+    def test_witness_rejects_a_space_other_than_the_target(self):
+        # f's positions index f.space; read in another space they name
+        # unrelated simplices, or none
+        f = enumerate_hom_simplices(delta(1), 1, 1)[0]  # constant at a vertex
+        assert almost_degenerate_at(f, 0)
+        assert hom_degeneracy(lemma4_witness(f.space, f, 0), 0) == f
+        for other in [delta(1), delta(2), boundary_delta(2)]:
+            with pytest.raises(ValueError):
+                lemma4_witness(other, f, 0)
 
     def test_witness_requires_degenerate_column(self):
         space = delta(1)

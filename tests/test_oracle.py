@@ -32,13 +32,14 @@ def test_oracle_does_not_import_the_engine():
 
 
 def test_oracle_never_reads_the_engine_face_tables():
-    # face_table serves the engine's search; the oracle computes every face
-    # through face/apply_map so that the two routes share no face data
+    # face_table and act serve the engine's search; the oracle computes
+    # every face through face/apply_map so that the two routes share no
+    # face data
     tree = ast.parse(Path(simphom.oracle.__file__).read_text(encoding="utf-8"))
     reads = [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "face_table"
+        if isinstance(node, ast.Attribute) and node.attr in ("face_table", "act")
     ]
     assert not reads, reads
 

@@ -369,11 +369,15 @@ class TestFaceTable:
         ]
         for space in spaces:
             for d in range(1, 7):
-                below = {z: k for k, z in enumerate(space.simplices(d - 1))}
+                below = {x: k for k, x in enumerate(space.simplices(d - 1))}
                 table = space.face_table(d)
-                assert len(table) == len(space.simplices(d))
-                for z, row in zip(space.simplices(d), table):
-                    assert row == tuple(below[space.face(z, i)] for i in range(d + 1))
+                assert len(table) == d + 1
+                for i, column in enumerate(table):
+                    # column i is the action row of the i-th face map
+                    row = space.act(face_map(i, d))
+                    assert len(column) == len(space.simplices(d))
+                    for z, x in enumerate(space.simplices(d)):
+                        assert column[z] == below[space.face(x, i)] == row[z]
 
     def test_degree_zero_has_no_faces(self):
         with pytest.raises(ValueError):
@@ -406,12 +410,25 @@ class TestAct:
             for psi in maps:
                 below = space.simplices(psi.source)
                 for z, x in enumerate(space.simplices(psi.target)):
-                    assert below[space.act(psi, z)] == space.apply_map(psi, x), (space, psi, z)
+                    assert below[space.act(psi)[z]] == space.apply_map(psi, x), (space, psi, z)
                     checked += 1
         assert checked > 100_000
 
     def test_act_rejects_a_negative_position(self):
         space = delta(2)
-        space.act(face_map(0, 2), len(space.simplices(2)) - 1)
+        space.act(face_map(0, 2))[len(space.simplices(2)) - 1]
         with pytest.raises(IndexError):
-            space.act(face_map(0, 2), -1)
+            space.act(face_map(0, 2))[-1]
+
+    def test_act_rejects_a_position_past_the_end(self):
+        space = delta(2)
+        row = space.act(face_map(0, 2))
+        with pytest.raises(IndexError):
+            row[len(space.simplices(2))]
+        row[len(space.simplices(2)) - 1]
+        assert list(row) == [len(space.simplices(2)) - 1]  # only what was read
+
+    def test_act_keeps_one_row_per_map(self):
+        space = delta(2)
+        assert space.act(face_map(0, 2)) is space.act(face_map(0, 2))
+        assert space.act(face_map(0, 2)) is not space.act(face_map(1, 2))
