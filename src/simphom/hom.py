@@ -16,9 +16,8 @@ On top of the encoding this module provides:
   every constraint compares two positions after acting, each through
   one of the target's action rows, and a result builds its target
   simplices only when ``values`` is first read.  Pruned at the first
-  fully degenerate column over a regular target, the search streams the
-  nondegenerate simplices that :func:`dim_hom` and :func:`hom_complex`
-  read;
+  fully degenerate column over a regular target and filtered otherwise,
+  it streams the nondegenerate results of every scan and :func:`hom_complex`;
 * the simplicial structure (faces, degeneracies, reindexing along any
   monotone map, in both grid directions), each reindex following a plan
   worked out once per shape: for every small path, the index of its
@@ -36,8 +35,8 @@ On top of the encoding this module provides:
   every path's collapse repeats at its step across the column, failing
   loudly on irregular targets;
 * dimension computation: over a regular target dim Hom(D^n, X) is
-  (n + 1) * dim X, attained by the staircase written into any top cell,
-  and otherwise a capped scan gives an honest lower bound;
+  (n + 1) * dim X, certified by the staircase in any top cell, and
+  otherwise a capped scan gives an honest lower bound;
 * mapping spaces out of an arbitrary finite source, as compatible
   families over its cells: the same search fills the paths of the
   maximal cells, each face entry of the source giving equations between
@@ -61,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .delta import (
     MonotoneMap,
@@ -208,13 +207,13 @@ def validate_hom_simplex(f):
 # Enumeration.
 # ---------------------------------------------------------------------------
 
-def _search(space, p, dims, equations=(), seats=(), prefer_large=False):
+def _search(space, p, dims, equations=(), seats=()):
     """The one backtracking search of this module, on integer positions.
 
     Its slots are the pairs (cell k, path m of the (p, dims[k]) grid), in
     cell and ``all_paths`` order; a candidate is a position in
     ``space.simplices(p + dims[k])``.  Results are the slots' positions in
-    lexicographic candidate order, reversed by ``prefer_large``.
+    lexicographic candidate order.
 
     Every constraint is one check ``(a, r, mine)`` of a later slot: its
     candidate z passes when ``mine[z] == r[assign[a]]``.  A unit-square
@@ -235,8 +234,8 @@ def _search(space, p, dims, equations=(), seats=(), prefer_large=False):
     degenerate exactly when epi repeats at s; :func:`dim_hom_general`
     proves it.
     """
-    offsets = [sum(len(all_paths(p, e)) for e in dims[:k]) for k in range(len(dims) + 1)]
-    candidates = {d: range(len(space.simplices(p + d)))[:: -1 if prefer_large else 1] for d in dims}
+    offsets = _cell_slots(p, dims)
+    candidates = {d: range(len(space.simplices(p + d))) for d in dims}
     slots = [candidates[d] for d in dims for _ in all_paths(p, d)]
     checks = [[] for _ in slots]
     for k, d in enumerate(dims):
@@ -307,6 +306,11 @@ def _search(space, p, dims, equations=(), seats=(), prefer_large=False):
     return _backtrack(offsets[-1], pool, doomed if triggers else None)
 
 
+def _cell_slots(p, dims):
+    """The first slot of each cell k in :func:`_search`, then the slot count."""
+    return list(accumulate((len(all_paths(p, d)) for d in dims), initial=0))
+
+
 def _non_negative(**degrees):
     """Reject a negative source dimension n, simplex degree p or degree cap
     by name; an absent cap (None) passes."""
@@ -315,17 +319,14 @@ def _non_negative(**degrees):
             raise ValueError("%s must be non-negative, got %d" % (name, value))
 
 
-def iter_hom_simplices(space, n, p, prefer_large=False):
+def iter_hom_simplices(space, n, p):
     """Stream the p-simplices of Hom(D^n, X) without caching.
 
     Values are lexicographic in candidate order along the lex-ordered
-    paths.  With ``prefer_large`` the candidate order is reversed so
-    assignments built from high-dimensional generators come first; useful
-    when probing for a nondegenerate simplex.  A negative n or p raises
-    ``ValueError`` when the stream starts.
+    paths.  A negative n or p raises ``ValueError`` when the stream starts.
     """
     _non_negative(n=n, p=p)
-    for positions in _search(space, p, (n,), prefer_large=prefer_large):
+    for positions in _search(space, p, (n,)):
         yield HomSimplex(space, p, n, _Positions(positions))
 
 
@@ -501,6 +502,11 @@ def is_degenerate_hom(f):
     return bool(_degenerate_columns(f))
 
 
+def _shared_columns(p, values):
+    """The columns below p in :func:`_degenerate_columns` of every value."""
+    return set(range(p)).intersection(*map(_degenerate_columns, values))
+
+
 def _first_section(epi):
     """The section of a surjection sending each value to its first preimage."""
     return MonotoneMap(epi.target, epi.source, tuple(map(epi.values.index, range(epi.target + 1))))
@@ -567,20 +573,22 @@ class HomDimension:
         return str(self.value) if self.exact else ">= %d" % (self.value,)
 
 
-def _iter_nondegenerate(space, n, p, regular, prefer_large=False):
-    """Stream the nondegenerate p-simplices of Hom(D^n, X) in search order.
-
-    A degenerate simplex always has a fully degenerate column, and over a
-    regular target the converse holds too, so the search, seated on the
-    n + 1 vertices of D^n, prunes such columns and keeps all it yields.
-    Over any other target :func:`is_degenerate_hom` settles each simplex.
+def _nondegenerate(space, p, dims, equations, seats, regular):
+    """Stream the nondegenerate results of :func:`_search`, in its order:
+    those whose maximal values, one per cell k of dimension dims[k], share
+    no column of :func:`_degenerate_columns`.  Over a regular target the
+    search seated on the source's vertices prunes every other branch, as
+    :func:`dim_hom_general` proves; over any other each result is tested.
     """
-    seats = [(0, j) for j in range(n + 1)] if regular else ()
-    found = (
-        HomSimplex(space, p, n, _Positions(z))
-        for z in _search(space, p, (n,), (), seats, prefer_large)
+    if regular:
+        return _search(space, p, dims, equations, seats)
+    ends = _cell_slots(p, dims)
+    spans = [(d, slice(a, b)) for d, a, b in zip(dims, ends, ends[1:])]
+    return (
+        z
+        for z in _search(space, p, dims, equations)
+        if not _shared_columns(p, [HomSimplex(space, p, d, _Positions(z[s])) for d, s in spans])
     )
-    return found if regular else (f for f in found if not is_degenerate_hom(f))
 
 
 def _spans_simplex(space, cell):
@@ -648,22 +656,20 @@ def _regular_or_capped(space, degree_cap):
 def dim_hom(space, n, degree_cap=None):
     """Dimension of Hom(D^n, X).
 
-    For a regular target the answer is exactly (n + 1) * dim X.  That is
-    an upper bound, and the staircase written into any top cell attains
-    it: none of its columns is fully degenerate, and a simplex with no
-    fully degenerate column is nondegenerate over any target.  Otherwise
-    a degree cap is required and the scan down from it gives a lower
-    bound: gaps in the degrees of nondegenerate simplices cannot be ruled
-    out beyond the cap.
+    For a regular target the answer is exactly (n + 1) * dim X, read off
+    that upper bound.  The staircase in any top cell, which the answer does
+    not build, attains it: none of its columns is fully degenerate, and a
+    simplex with no such column is nondegenerate.  Otherwise a degree cap is
+    required and the scan down from it gives a lower bound: gaps in the
+    degrees of nondegenerate simplices cannot be ruled out beyond the cap.
     """
     _non_negative(n=n, degree_cap=degree_cap)
     if space.dim < 0:
         return HomDimension(-1, True)
     if _regular_or_capped(space, degree_cap):
-        _staircase_witness(space, space.cells_of_dim(space.dim)[0], n)
         return HomDimension((n + 1) * space.dim, True)
     for p in range(degree_cap, -1, -1):
-        if next(_iter_nondegenerate(space, n, p, False, prefer_large=True), None) is not None:
+        if next(_nondegenerate(space, p, (n,), (), (), False), None) is not None:
             return HomDimension(p, False)
     return HomDimension(-1, False)
 
@@ -706,15 +712,16 @@ def _pieces(source):
     return pieces
 
 
-def _families(source, space, p, prune=False):
-    """Stream the p-simplices of Hom(U, X), one value per cell of U, from
-    :func:`_search` on the maximal cells of U.  The first maximal w whose
-    closure holds u owns it, along a route gamma_u : [dim u] -> [dim w] of
-    face maps and first-preimage sections: x_u o d_i = x_g o epi gives
-    x_g = x_u o d_i o section(epi), so x_u is x_w reindexed along gamma_u.
-    Each face entry (i, epi, g) of u equates the plans of gamma_u o d_i
-    and gamma_g o epi on each path of the (p, dim u - 1) grid.  With
-    ``prune`` each vertex sits at its first place, seen first.
+def _family_layout(source, p):
+    """The ``(dims, equations, seats, route)`` of :func:`_search` over the
+    maximal cells of U in degree p.  The first maximal w whose closure
+    holds u owns it, along a route gamma_u : [dim u] -> [dim w] of face
+    maps and first-preimage sections: x_u o d_i = x_g o epi gives
+    x_g = x_u o d_i o section(epi), so x_u is x_w reindexed along gamma_u,
+    and ``route[u]`` is (k, gamma_u) for w the k-th maximal cell.  Each
+    face entry (i, epi, g) of u equates the plans of gamma_u o d_i and
+    gamma_g o epi on each path of the (p, dim u - 1) grid.  Each vertex
+    sits at its first place, seen first.
     """
     maximal = _maximal_cells(source)
     ident = identity_map(p)
@@ -737,24 +744,10 @@ def _families(source, space, p, prune=False):
         )
     )
     seats = {}
-    for k, w in enumerate(maximal if prune else ()):
+    for k, w in enumerate(maximal):
         for j in range(w.dim + 1):
             seats.setdefault(source.normal_values(w, (j,))[0], (k, j))
-    ends = [sum(len(all_paths(p, w.dim)) for w in maximal[:k]) for k in range(len(maximal) + 1)]
-    reads = []
-    for u in source.cells:
-        k, gamma = route[u]
-        plan = [(i, space.act(x)) for i, x in _reindex_plan(ident, gamma)]
-        reads.append((u.dim, ends[k], ends[k + 1], plan, {}))
-    for positions in _search(space, p, [w.dim for w in maximal], equations, list(seats.values())):
-        family = []
-        for d, start, end, plan, known in reads:
-            z = positions[start:end]
-            f = known.get(z)
-            if f is None:
-                f = known[z] = HomSimplex(space, p, d, _Positions([row[z[i]] for i, row in plan]))
-            family.append(f)
-        yield tuple(family)
+    return [w.dim for w in maximal], equations, list(seats.values()), route
 
 
 def iter_hom_families(source, space, p):
@@ -765,12 +758,28 @@ def iter_hom_families(source, space, p):
     inclusion matches the face-table entry of U, degeneracies included.
     The search fills the paths of the maximal cells of U, top dimension
     first, so families come in lexicographic order of their maximal
-    values' positions in :func:`enumerate_hom_simplices`.
+    values' positions in :func:`enumerate_hom_simplices`; every other
+    value is derived along its route, once per owner positions.
     A negative p raises ``ValueError`` when the stream starts.
     """
     _non_negative(p=p)
-    for values in _families(source, space, p):
-        yield HomFamily(source, space, p, source.cells, values)
+    dims, equations, _, route = _family_layout(source, p)
+    ends = _cell_slots(p, dims)
+    ident = identity_map(p)
+    reads = []
+    for u in source.cells:
+        k, gamma = route[u]
+        plan = [(i, space.act(x)) for i, x in _reindex_plan(ident, gamma)]
+        reads.append((u.dim, ends[k], ends[k + 1], plan, {}))
+    for positions in _search(space, p, dims, equations):
+        family = []
+        for d, start, end, plan, known in reads:
+            z = positions[start:end]
+            f = known.get(z)
+            if f is None:
+                f = known[z] = HomSimplex(space, p, d, _Positions([row[z[i]] for i, row in plan]))
+            family.append(f)
+        yield HomFamily(source, space, p, source.cells, tuple(family))
 
 
 def hom_general(source, space, p):
@@ -781,7 +790,7 @@ def hom_general(source, space, p):
 def is_degenerate_family(family):
     """Degeneracy of a family is simultaneous componentwise degeneracy:
     some column is among the :func:`_degenerate_columns` of every value."""
-    return bool(set(range(family.width)).intersection(*map(_degenerate_columns, family.values)))
+    return bool(_shared_columns(family.width, family.values))
 
 
 def theorem1bis_bound(source, space):
@@ -823,8 +832,8 @@ def dim_hom_general(source, space, degree_cap=None):
     its first family.  And every column needs some x_v = (epi, c)
     nondegenerate there, which has at most dim c <= dim X nondegenerate
     elementary edges, so p <= |U_0| * dim X.  Over an irregular target
-    each family is tested whole: it is nondegenerate when its maximal
-    components share no column of :func:`_degenerate_columns`.
+    each family is tested on its maximal components alone: it is
+    nondegenerate when they share no column of :func:`_degenerate_columns`.
     """
     _non_negative(degree_cap=degree_cap)
     if space.dim < 0:
@@ -841,17 +850,9 @@ def dim_hom_general(source, space, degree_cap=None):
         return dim_hom(space, maximal[0].dim, degree_cap)
     regular = _regular_or_capped(space, degree_cap)
     start = len(source.cells_of_dim(0)) * space.dim if regular else degree_cap
-    tops = [source.cells.index(w) for w in maximal]
     for p in range(start, -1, -1):
-        families = _families(source, space, p, prune=regular)
-        if regular:
-            found = next(families, None) is not None
-        else:
-            found = any(
-                not set(range(p)).intersection(*(_degenerate_columns(values[t]) for t in tops))
-                for values in families
-            )
-        if found:
+        dims, equations, seats, _ = _family_layout(source, p)
+        if next(_nondegenerate(space, p, dims, equations, seats, regular), None) is not None:
             return HomDimension(p, regular)
     return HomDimension(-1, regular)
 
@@ -874,22 +875,19 @@ def hom_complex(space, n, degree_cap=None):
     regular = _regular_or_capped(space, degree_cap)
     # an empty target gives a negative top, so no degree is listed
     top = (n + 1) * space.dim if regular else degree_cap
-    by_degree = {}
     cell_of = {}
     legend = {}
     for p in range(top + 1):
-        keep = list(_iter_nondegenerate(space, n, p, regular))
-        by_degree[p] = keep
-        for i, f in enumerate(keep):
-            c = CellId(p, "h%d#%d" % (p, i))
-            cell_of[f.positions] = c
-            legend[c] = f
+        found = _nondegenerate(space, p, (n,), (), [(0, j) for j in range(n + 1)], regular)
+        for i, z in enumerate(found):
+            c = cell_of[z] = CellId(p, "h%d#%d" % (p, i))
+            legend[c] = HomSimplex(space, p, n, _Positions(z))
     faces = {}
-    for p in range(1, top + 1):
-        for f in by_degree[p]:
+    for c, f in legend.items():
+        if f.width:
             entries = []
-            for i in range(p + 1):
+            for i in range(f.width + 1):
                 eps, core = normalize_hom(hom_face(f, i))
                 entries.append(FormalSimplex(eps, cell_of[core.positions]))
-            faces[cell_of[f.positions]] = tuple(entries)
+            faces[c] = tuple(entries)
     return SimplicialSet(cell_of.values(), faces), legend

@@ -1,10 +1,12 @@
 """A golden digest of the search's output order.
 
 Each group is one stream of the engine, read as target positions and
-hashed to a short digest: the enumeration in both candidate orders, the
-pruned nondegenerate stream, the cell legend of ``hom_complex`` and the
-family order of ``hom_general``, with the pruned family stream.  A
-refactor of the search must leave every digest as it is.
+hashed to a short digest: the enumeration, the nondegenerate stream over
+one cell, the cell legend of ``hom_complex`` and the family order of
+``hom_general``, with the nondegenerate family stream read as whole
+families.  A refactor of the search must leave every digest as it is.
+The ``/small`` suffix names the candidate order, the only one the search
+has.
 
 Rewrite ``search_golden/digest.json`` from the current code with
 ``PYTHONPATH=src python tests/test_search_golden.py``.
@@ -16,8 +18,9 @@ from pathlib import Path
 
 from simphom.exhibits import corpus
 from simphom.hom import (
-    _families,
-    _iter_nondegenerate,
+    _family_layout,
+    _maximal_cells,
+    _nondegenerate,
     hom_complex,
     iter_hom_families,
     iter_hom_simplices,
@@ -72,13 +75,12 @@ def search_digest():
             for p in range(7):
                 if len(space.simplices(p + n)) ** (p + 1) > 10**6:
                     continue
-                for large in (False, True):
-                    key = "%s/n%d/p%d/%s" % (name, n, p, "large" if large else "small")
-                    found = iter_hom_simplices(space, n, p, prefer_large=large)
-                    out["enum/" + key] = _short(f.positions for f in found)
-                    if name in regular:
-                        found = _iter_nondegenerate(space, n, p, True, prefer_large=large)
-                        out["nondeg/" + key] = _short(f.positions for f in found)
+                key = "%s/n%d/p%d/small" % (name, n, p)
+                found = iter_hom_simplices(space, n, p)
+                out["enum/" + key] = _short(f.positions for f in found)
+                if name in regular:
+                    seats = [(0, j) for j in range(n + 1)]
+                    out["nondeg/" + key] = _short(_nondegenerate(space, p, (n,), (), seats, True))
     for name in ("delta1", "delta2", "q2", "triangle/long-edge"):
         for n in (0, 1):
             cap = None if name != "triangle/long-edge" else 3
@@ -90,17 +92,23 @@ def search_digest():
             )
             out["complex/%s/n%d" % (name, n)] = _short(legend + faces)
     for source_name, source in _family_sources(spaces).items():
+        maximal = _maximal_cells(source)
         for name in ("delta1", "delta2", "q2", "boundary2"):
             for p in range(4):
                 key = "%s/%s/p%d" % (source_name, name, p)
-                families = iter_hom_families(source, targets[name], p)
-                out["family/" + key] = _short(
-                    tuple(f.positions for f in family.values) for family in families
-                )
-                pruned = _families(source, targets[name], p, prune=True)
-                out["pruned/" + key] = _short(
-                    tuple(f.positions for f in values) for values in pruned
-                )
+                families = [
+                    tuple(f.positions for f in family.values)
+                    for family in iter_hom_families(source, targets[name], p)
+                ]
+                out["family/" + key] = _short(families)
+                # a search result is its maximal values' positions, end to end
+                by_result = {
+                    sum((values[source.cells.index(w)] for w in maximal), ()): values
+                    for values in families
+                }
+                dims, equations, seats, _ = _family_layout(source, p)
+                pruned = _nondegenerate(targets[name], p, dims, equations, seats, True)
+                out["pruned/" + key] = _short(by_result[z] for z in pruned)
     return out
 
 
