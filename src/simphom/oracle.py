@@ -16,13 +16,22 @@ space, used to cross-check the path-based engine:
 
 Neither route touches the path encoding or the engine's face tables:
 they share only the basic simplicial-set primitives.
+
+The one cache this module owns is the *domain memo*, ``_domain``: an
+``lru_cache`` of at most 16 products ``standard p-simplex x source``, keyed
+by the width p and the source's presentation (its ``cells`` and their
+``faces`` entries, which fix the product exactly).  A miss builds the
+product with ``simpset.product``, so a sweep of many targets over a few
+shapes builds each domain once.  The count only reads a domain, so the
+shared instance is never changed.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .simpset import delta, product
+from .simpset import SimplicialSet, delta, product
 
 
 class OracleBudgetExceeded(Exception):
@@ -52,11 +61,13 @@ def count_simplicial_maps(domain, target, node_budget=2_000_000):
       ``face``, with the simplices grouped by their whole row.
 
     A cell's candidates are then the group of its required faces, in
-    canonical order (for a vertex, every vertex of the target).  As soon
-    as the last generator below a cell is assigned, that group is checked
-    for nonemptiness.  The search keeps one candidate iterator per
-    assigned cell on an explicit stack, so its depth is never bounded by
-    the recursion limit; ``node_budget`` caps the candidates tried.
+    canonical order (for a vertex, every vertex of the target).  Each
+    cell has one watcher, on the last generator below it: when that
+    generator is assigned, the watcher looks the group up, and a failed
+    lookup prunes the branch; otherwise the group it found is the cell's
+    candidate list, read once.  The search keeps one candidate iterator
+    per assigned cell on an explicit stack, so its depth is never bounded
+    by the recursion limit; ``node_budget`` caps the candidates tried.
     """
     cells = domain.cells
     if not cells:
@@ -93,29 +104,20 @@ def count_simplicial_maps(domain, target, node_budget=2_000_000):
             row = tuple(below[target.face(z, i)] for i in range(d + 1))
             group.setdefault(row, []).append(k)
         groups[d] = group
-    equations = [
-        (
-            groups[c.dim],
-            tuple((order_pos[fs.generator], actions[fs.epi]) for fs in domain.faces[c]),
-        )
-        for c in cells
-    ]
+    pools = [None] * len(cells)
     watchers = [[] for _ in cells]
-    for t, (_, entries) in enumerate(equations):
+    for t, c in enumerate(cells):
+        entries = tuple(
+            (order_pos[fs.generator], actions[fs.epi]) for fs in domain.faces[c]
+        )
         if entries:
-            watchers[max(g for g, _ in entries)].append(equations[t])
+            watchers[max(g for g, _ in entries)].append((t, groups[c.dim], entries))
+        else:
+            pools[t] = groups[0][()]
     assigned = [None] * len(cells)
-
-    def required(entries):
-        return tuple([table[assigned[g]] for g, table in entries])
-
-    def candidates(t):
-        group, entries = equations[t]
-        return iter(group.get(required(entries), ()))
-
     budget = node_budget
     total = 0
-    stack = [candidates(0)]
+    stack = [iter(pools[0])]
     while stack:
         t = len(stack) - 1
         for z in stack[t]:
@@ -123,33 +125,41 @@ def count_simplicial_maps(domain, target, node_budget=2_000_000):
             if budget < 0:
                 raise OracleBudgetExceeded(node_budget)
             assigned[t] = z
-            blocked = False
-            for group, entries in watchers[t]:
-                if required(entries) not in group:
-                    blocked = True
+            for u, group, entries in watchers[t]:
+                pools[u] = group.get(tuple([table[assigned[g]] for g, table in entries]))
+                if pools[u] is None:
                     break
-            if blocked:
-                continue
-            if t + 1 == len(cells):
-                total += 1
-                continue
-            stack.append(candidates(t + 1))
-            break
+            else:
+                if t + 1 == len(cells):
+                    total += 1
+                    continue
+                stack.append(iter(pools[t + 1]))
+                break
         else:
             stack.pop()
     return total
+
+
+@lru_cache(maxsize=16)
+def _domain(width, cells, faces):
+    """``standard width-simplex x source``, for the source presented by
+    ``cells`` and their ``faces`` (the key of the domain memo)."""
+    return product(delta(width), SimplicialSet(cells, dict(zip(cells, faces))))
 
 
 def brute_force_hom_count(source, target, width, node_budget=2_000_000):
     """|Hom(source, target)| in degree ``width``, counted the long way round.
 
     A width-p simplex of the mapping space is a simplicial map out of
-    ``standard p-simplex x source``; the product is built explicitly and
-    its maps are counted cell by cell.
+    ``standard p-simplex x source``; the product is built explicitly, once
+    per (width, presentation of the source) in the domain memo, and its
+    maps are counted cell by cell.
     """
-    return count_simplicial_maps(
-        product(delta(width), source), target, node_budget=node_budget
-    )
+    if width < 0:
+        raise ValueError("width must be non-negative, got %d" % (width,))
+    cells = source.cells
+    domain = _domain(width, cells, tuple(source.faces[c] for c in cells))
+    return count_simplicial_maps(domain, target, node_budget=node_budget)
 
 
 def count_monotone_lattice_maps(p, n, q):

@@ -1,6 +1,7 @@
 """Independent counting routes and their agreement with the path engine."""
 
 import ast
+import copy
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,17 @@ from simphom.oracle import (
     count_monotone_lattice_maps,
     count_simplicial_maps,
 )
-from simphom.simpset import boundary_delta, delta, horn, product, quotient
+from simphom.delta import identity_map
+from simphom.simpset import (
+    CellId,
+    FormalSimplex,
+    SimplicialSet,
+    boundary_delta,
+    delta,
+    horn,
+    product,
+    quotient,
+)
 
 
 def test_oracle_does_not_import_the_engine():
@@ -32,14 +43,15 @@ def test_oracle_does_not_import_the_engine():
 
 
 def test_oracle_never_reads_the_engine_face_tables():
-    # face_table and act serve the engine's search; the oracle computes
-    # every face through face/apply_map so that the two routes share no
-    # face data
+    # face_table and act serve the engine's search, and normal_values is the
+    # rule face_table reads; the oracle computes every face through
+    # face/apply_map so that the two routes share no face data
     tree = ast.parse(Path(simphom.oracle.__file__).read_text(encoding="utf-8"))
     reads = [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ("face_table", "act")
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("face_table", "act", "normal_values")
     ]
     assert not reads, reads
 
@@ -121,6 +133,81 @@ class TestBruteForce:
     def test_budget_exhaustion(self):
         with pytest.raises(OracleBudgetExceeded):
             count_simplicial_maps(product(delta(2), delta(2)), delta(2), node_budget=10)
+
+    def test_negative_width_is_rejected_by_name(self):
+        before = simphom.oracle._domain.cache_info()
+        with pytest.raises(ValueError, match="width must be non-negative, got -1"):
+            brute_force_hom_count(delta(1), delta(1), -1)
+        assert simphom.oracle._domain.cache_info() == before
+
+
+def _edge(tail, head):
+    # one edge between the vertices a and b, running from tail to head
+    a, b, e = CellId(0, "a"), CellId(0, "b"), CellId(1, "e")
+    ends = {"a": a, "b": b}
+    faces = {e: tuple(FormalSimplex(identity_map(0), ends[v]) for v in (head, tail))}
+    return SimplicialSet([a, b, e], faces)
+
+
+class TestDomainMemo:
+    memo = staticmethod(simphom.oracle._domain)
+
+    def setup_method(self):
+        self.memo.cache_clear()
+
+    def test_equal_presentations_share_one_entry(self):
+        first, second = delta(2), delta(2)
+        assert first is not second
+        expected = count_monotone_lattice_maps(1, 2, 1)
+        assert brute_force_hom_count(first, delta(1), 1) == expected
+        assert brute_force_hom_count(second, delta(1), 1) == expected
+        info = self.memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_the_memo_stays_within_its_bound(self):
+        sources = [delta(0), delta(1), delta(2), boundary_delta(2), horn(2, 1),
+                   quotient(delta(2), ["0,2"])]
+        for width in range(3):
+            for source in sources:
+                assert brute_force_hom_count(source, delta(0), width) == 1
+        info = self.memo.cache_info()
+        assert info.misses == 18 > info.maxsize
+        assert info.currsize == info.maxsize == 16
+
+    def test_the_key_reads_face_entries_not_only_cells(self):
+        forward, backward = _edge("a", "b"), _edge("b", "a")
+        assert forward.cells == backward.cells
+        assert forward.faces != backward.faces
+        for source in (forward, backward):
+            assert brute_force_hom_count(source, delta(1), 1) == 6
+        info = self.memo.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
+        for source in (forward, backward):
+            key = (1, source.cells, tuple(source.faces[c] for c in source.cells))
+            assert self.memo(*key).faces == product(delta(1), source).faces
+
+    def test_a_memo_hit_counts_like_a_fresh_product(self):
+        for entry in corpus()[:12]:
+            for n, p in ((1, 1), (2, 1), (1, 2)):
+                brute_force_hom_count(delta(n), entry.space, p)
+                hits = self.memo.cache_info().hits
+                count = brute_force_hom_count(delta(n), entry.space, p)
+                assert self.memo.cache_info().hits == hits + 1
+                fresh = count_simplicial_maps(product(delta(p), delta(n)), entry.space)
+                assert count == fresh, (entry.name, n, p)
+
+    def test_a_count_adds_no_state_to_its_spaces(self):
+        # the target fills its own per-degree caches; the source is only
+        # read for its presentation, so not even its caches change
+        source, target = horn(2, 1), quotient(delta(2), ["0,2"])
+
+        def state():
+            return {k: copy.copy(v) for k, v in vars(source).items()}, set(vars(target))
+
+        before = state()
+        for _ in range(2):
+            assert brute_force_hom_count(source, target, 1) > 0
+        assert state() == before
 
 
 class TestAgreement:
