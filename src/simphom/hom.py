@@ -23,14 +23,14 @@ On top of the encoding this module provides:
   worked out once per shape: for every small path, the index of its
   lifted path and the step map to pull back along.  Reindexing works on
   positions too: each value is the target's
-  :meth:`~simphom.simpset.SimplicialSet.act` by a step map on a position,
-  and so does the column test, which reads the edges under a column the
-  same way;
+  :meth:`~simphom.simpset.SimplicialSet.act` by a step map on a position;
 * degeneracy detection, both the generic test read off collapse values
   (f is the k-th degeneracy of some simplex exactly when, on every path,
   the collapse of its value repeats at the path's step across column k;
   no reindex) and the cheap column test (all horizontal edges over one
-  column degenerate), which agree exactly over regular targets;
+  column degenerate), which agree exactly over regular targets.  Both
+  are bit operations on the target's per-degree
+  :meth:`~simphom.simpset.SimplicialSet.step_masks`, read by position;
 * the witness of a degenerate column k, which is the k-th face of f once
   every path's collapse repeats at its step across the column, failing
   loudly on irregular targets;
@@ -49,11 +49,11 @@ On top of the encoding this module provides:
 Computing Hom(U, X) keeps no state of its own on X.  Every memo of a
 search (candidate buckets, a family stream's derived values) is a local
 of the call that fills it.  Only the reindex plans, the turning paths'
-indexes and the column steps outlive a call, in one process-wide
-``lru_cache`` entry per grid shape, as do the ``lru_cache`` tables of
-``paths`` and ``delta``.  The action rows, read through
-:meth:`~simphom.simpset.SimplicialSet.act` and ``face_table``, belong to
-the target and are documented in ``simpset``.
+indexes and the paths' runs of horizontal steps outlive a call, in one
+process-wide ``lru_cache`` entry per grid shape, as do the ``lru_cache``
+tables of ``paths`` and ``delta``.  The action rows and step masks, read
+through :meth:`~simphom.simpset.SimplicialSet.act`, ``face_table`` and
+``step_masks``, belong to the target and are documented in ``simpset``.
 """
 
 from __future__ import annotations
@@ -231,8 +231,8 @@ def _search(space, p, dims, equations=(), seats=()):
     k, over a regular target: a branch dies once, at some column c, every
     vertex's edge is read and degenerate.  At its seat that edge is the
     step c + j of a turning path, and the edge (s, s + 1) of (epi, x) is
-    degenerate exactly when epi repeats at s; :func:`dim_hom_general`
-    proves it.
+    degenerate exactly when epi repeats at s, bit s of the target's
+    repeat mask (``step_masks``); :func:`dim_hom_general` proves it.
     """
     offsets = _cell_slots(p, dims)
     candidates = {d: range(len(space.simplices(p + d))) for d in dims}
@@ -285,19 +285,18 @@ def _search(space, p, dims, equations=(), seats=()):
 
     triggers = {}
     if seats and p:
-        collapses = {d: [x.epi.values for x in space.simplices(p + d)] for d in dims}
+        repeats = {d: space.step_masks(p + d)[0] for d in dims}
         for c in range(p):
             reads = [
-                (offsets[k] + _turning_paths(p, dims[k])[c][j], collapses[dims[k]], c + j)
+                (offsets[k] + _turning_paths(p, dims[k])[c][j], repeats[dims[k]], 1 << c + j)
                 for k, j in seats
             ]
             triggers.setdefault(max(a for a, _, _ in reads), []).append(reads)
 
     def doomed(m, assign):
         for reads in triggers.get(m, ()):
-            for a, values, s in reads:
-                v = values[assign[a]]
-                if v[s] != v[s + 1]:
+            for a, masks, bit in reads:
+                if not masks[assign[a]] & bit:
                     break
             else:
                 return True
@@ -437,34 +436,63 @@ def edge_restriction(f, k, j):
 
 
 def almost_degenerate_at(f, k):
-    """Whether every horizontal edge over column k restricts degenerately."""
+    """Whether every horizontal edge over column k restricts degenerately.
+
+    The edge (k, j) -> (k + 1, j) is the step k + j of a turning path, so
+    this reads n + 1 bits of the target's degenerate-edge masks
+    (``step_masks``); no simplex is built and no action entry is filled.
+    """
     p, n = f.width, f.height
     if not 0 <= k < p:
         raise ValueError("grid edge (%d, 0) out of range" % (k,))
-    space, positions = f.space, f.positions
-    edges = space.simplices(1)
-    return all(
-        edges[space.act(edge_map(k + j, 1, p + n))[positions[m]]].is_degenerate
-        for j, m in enumerate(_turning_paths(p, n)[k])
-    )
+    edges, positions = f.space.step_masks(p + n)[1], f.positions
+    for s, m in enumerate(_turning_paths(p, n)[k], k):
+        if not edges[positions[m]] >> s & 1:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
-def _column_steps(p, n):
-    """Entry ``[k][m]`` is the index of the step of path m of the (p, n) grid
-    from column k to k + 1.  The horizontal steps of the paths, in
-    ``all_paths`` order, are ``combinations(range(p + n), p)``, so column
-    k's steps are the k-th entries of those tuples."""
-    return tuple(zip(*combinations(range(p + n), p)))
+def _path_runs(p, n):
+    """Entry ``[m]`` holds the runs of consecutive horizontal steps of path
+    m of the (p, n) grid, at most n + 1 of them, as ``(shift, keep)``
+    pairs.  The horizontal steps of the paths, in ``all_paths`` order, are
+    ``combinations(range(p + n), p)``, and path m steps from column k to
+    k + 1 at its k-th one, s_k.  A run from column k on has shift s_k - k,
+    and ``keep`` has every bit set but those of the run's columns, so
+    AND-ing ``r >> shift | keep`` over the runs reads bit s_k of a step
+    mask r as bit k."""
+    table = []
+    for steps in combinations(range(p + n), p):
+        runs = []
+        for k, s in enumerate(steps):
+            if k and s == steps[k - 1] + 1:
+                runs[-1][1] |= 1 << k
+            else:
+                runs.append([s - k, 1 << k])
+        table.append(tuple((shift, ~mask) for shift, mask in runs))
+    return tuple(table)
+
+
+def _path_columns(r, runs):
+    """The step mask r read on one path's runs: for k < p, bit k is bit s_k
+    of r."""
+    columns = -1
+    for shift, keep in runs:
+        columns &= r >> shift | keep
+    return columns
 
 
 def _degenerate_columns(f):
-    """The columns k at which f is the k-th degeneracy of some simplex.
+    """The columns k at which f is the k-th degeneracy of some simplex, as
+    a bitmask: bit k is set when column k qualifies.
 
     Column k qualifies exactly when, on every lattice path m, the collapse
     of f(m) repeats at s_m, the index of m's horizontal step from column k
-    to k + 1, read off :func:`_column_steps`.  This holds over any target,
-    regular or not.
+    to k + 1.  This holds over any target, regular or not.  In mask form:
+    the repeat mask of f(m) (``step_masks``), read on m's horizontal steps
+    along :func:`_path_runs`, has bit k set on every path; the AND of those
+    masks over the paths is the answer.
 
     (=>) s_k g is the reindex of g along sigma_k x id, and along m that
     map is the degeneracy at s_m: f(m) = s_{s_m} g(m'), where m' is m with
@@ -482,18 +510,11 @@ def _degenerate_columns(f):
     through its lift crossing column k at the bottom of its run.  So
     f = s_k g.
 
-    For n = 1 this is ``exhibits.hom1_degeneracy_test``.  Only collapse
-    values are read, by position: no ``apply_map``, no reindex, and f's
+    For n = 1 this is ``exhibits.hom1_degeneracy_test``.  Only repeat
+    masks are read, by position: no ``apply_map``, no reindex, and f's
     ``values`` are not built.
     """
-    p, n = f.width, f.height
-    simplices = f.space.simplices(p + n)
-    collapses = [simplices[z].epi.values for z in f.positions]
-    return {
-        k
-        for k, steps in enumerate(_column_steps(p, n))
-        if all(v[s] == v[s + 1] for v, s in zip(collapses, steps))
-    }
+    return _shared_columns(f.space, f.width, [(f.height, f.positions)])
 
 
 def is_degenerate_hom(f):
@@ -502,9 +523,20 @@ def is_degenerate_hom(f):
     return bool(_degenerate_columns(f))
 
 
-def _shared_columns(p, values):
-    """The columns below p in :func:`_degenerate_columns` of every value."""
-    return set(range(p)).intersection(*map(_degenerate_columns, values))
+def _shared_columns(space, p, parts):
+    """The mask of the columns below p in :func:`_degenerate_columns` of
+    every part, a pair (n, positions) of a p-simplex of Hom(D^n, X); the
+    AND stops at zero."""
+    columns = (1 << p) - 1
+    for n, positions in parts:
+        repeats = space.step_masks(p + n)[0]
+        for z, runs in zip(positions, _path_runs(p, n)):
+            if not columns:
+                return 0
+            r = repeats[z]
+            for shift, keep in runs:
+                columns &= r >> shift | keep
+    return columns
 
 
 def _first_section(epi):
@@ -523,7 +555,7 @@ def normalize_hom(f):
     columns = _degenerate_columns(f)
     if not columns:
         return identity_map(f.width), f
-    eps = surjection_from_repeats(f.width, columns)
+    eps = surjection_from_repeats(f.width, [k for k in range(f.width) if columns >> k & 1])
     return eps, hom_reindex(f, _first_section(eps))
 
 
@@ -546,14 +578,13 @@ def lemma4_witness(space, f, k):
     if not almost_degenerate_at(f, k):
         raise ValueError("column %d of the simplex is not entirely degenerate" % (k,))
     p, n = f.width, f.height
-    simplices = space.simplices(p + n)
-    for m, (z, s) in enumerate(zip(f.positions, _column_steps(p, n)[k])):
-        v = simplices[z].epi.values
-        if v[s] != v[s + 1]:
+    repeats = space.step_masks(p + n)[0]
+    for m, (z, runs) in enumerate(zip(f.positions, _path_runs(p, n))):
+        if not _path_columns(repeats[z], runs) >> k & 1:
             raise RegularityViolation(
                 "degenerate column %d does not split off a degeneracy on path %r; "
                 "the target is not regular" % (k, all_paths(p, n)[m].word),
-                offender=simplices[z],
+                offender=space.simplices(p + n)[z],
             )
     return hom_face(f, k)
 
@@ -587,7 +618,7 @@ def _nondegenerate(space, p, dims, equations, seats, regular):
     return (
         z
         for z in _search(space, p, dims, equations)
-        if not _shared_columns(p, [HomSimplex(space, p, d, _Positions(z[s])) for d, s in spans])
+        if not _shared_columns(space, p, ((d, z[s]) for d, s in spans))
     )
 
 
@@ -720,8 +751,10 @@ def _family_layout(source, p):
     x_g = x_u o d_i o section(epi), so x_u is x_w reindexed along gamma_u,
     and ``route[u]`` is (k, gamma_u) for w the k-th maximal cell.  Each
     face entry (i, epi, g) of u equates the plans of gamma_u o d_i and
-    gamma_g o epi on each path of the (p, dim u - 1) grid.  Each vertex
-    sits at its first place, seen first.
+    gamma_g o epi on each path of the (p, dim u - 1) grid; an entry whose
+    two sides reach one owner along one map equates each slot with itself,
+    and its plans are never built.  Each vertex sits at its first place,
+    seen first.
     """
     maximal = _maximal_cells(source)
     ident = identity_map(p)
@@ -732,16 +765,24 @@ def _family_layout(source, p):
         for u in sorted(_face_closure(source, [w]), key=lambda u: (-u.dim, u)):
             owner, gamma = route[u]
             for i, fs in enumerate(source.faces[u]):
-                step = compose_monotone(face_map(i, u.dim), _first_section(fs.epi))
-                route.setdefault(fs.generator, (owner, compose_monotone(gamma, step)))
+                if fs.generator not in route:
+                    step = compose_monotone(face_map(i, u.dim), _first_section(fs.epi))
+                    route[fs.generator] = (owner, compose_monotone(gamma, step))
+
+    def sides():
+        for u in source.cells:
+            for i, fs in enumerate(source.faces[u]):
+                (k, gamma), (kk, eta) = route[u], route[fs.generator]
+                # the values of gamma o d_i and of eta o epi, compared unbuilt
+                v, w = gamma.values, eta.values
+                if k != kk or v[:i] + v[i + 1:] != tuple(w[t] for t in fs.epi.values):
+                    here = compose_monotone(gamma, face_map(i, u.dim))
+                    yield k, here, kk, compose_monotone(eta, fs.epi)
+
     equations = (
-        ((route[u][0], m, psi), (route[fs.generator][0], mm, phi))
-        for u in source.cells
-        for i, fs in enumerate(source.faces[u])
-        for (m, psi), (mm, phi) in zip(
-            _reindex_plan(ident, compose_monotone(route[u][1], face_map(i, u.dim))),
-            _reindex_plan(ident, compose_monotone(route[fs.generator][1], fs.epi)),
-        )
+        ((k, m, psi), (kk, mm, phi))
+        for k, here, kk, there in sides()
+        for (m, psi), (mm, phi) in zip(_reindex_plan(ident, here), _reindex_plan(ident, there))
     )
     seats = {}
     for k, w in enumerate(maximal):
@@ -790,7 +831,8 @@ def hom_general(source, space, p):
 def is_degenerate_family(family):
     """Degeneracy of a family is simultaneous componentwise degeneracy:
     some column is among the :func:`_degenerate_columns` of every value."""
-    return bool(_shared_columns(family.width, family.values))
+    parts = [(f.height, f.positions) for f in family.values]
+    return bool(_shared_columns(family.space, family.width, parts))
 
 
 def theorem1bis_bound(source, space):

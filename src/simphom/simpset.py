@@ -23,12 +23,14 @@ construction never calls ``apply_map``.  Instances are immutable after
 construction (internal caches aside) and safe for unsynchronised
 concurrent reads.
 
-Each instance owns four caches, touched only by this module and dropped
-with it: ``_simplex_cache``, ``_face_tables`` and ``_position_indexes``
-(generator name and collapse values to position) hold one entry per
-degree asked for, and ``_act_rows`` the row of each map that
-:meth:`SimplicialSet.act` was asked for, a ``dict`` of the entries read.
-The maps and degrees in use bound them, but nothing caps them.
+Each instance owns five caches, touched only by this module and dropped
+with it: ``_simplex_cache``, ``_face_tables``, ``_step_masks`` (the
+repeat and degenerate-edge bitmasks of :meth:`SimplicialSet.step_masks`)
+and ``_position_indexes`` (generator name and collapse values to
+position) hold one entry per degree asked for, and ``_act_rows`` the row
+of each map that :meth:`SimplicialSet.act` was asked for, a ``dict`` of
+the entries read.  The maps and degrees in use bound them, but nothing
+caps them.
 """
 
 from __future__ import annotations
@@ -144,6 +146,7 @@ class SimplicialSet:
         self._faces = table
         self._simplex_cache = {}
         self._face_tables = {}
+        self._step_masks = {}
         self._position_indexes = {}
         self._act_rows = {}
         self._check_simplicial_identities()
@@ -276,6 +279,40 @@ class SimplicialSet:
                     column.append(position[g.name, w])
             table = self._face_tables[degree] = tuple(map(tuple, columns))
         return table
+
+    def step_masks(self, degree):
+        """The elementary edges of every simplex of a degree, as bitmasks.
+
+        Returns ``(repeats, edges)``, two tuples indexed by position in
+        ``simplices(degree)``.  Bit s of ``repeats[z]`` is set when the
+        collapse values v of the z-th simplex repeat at s, v[s] == v[s + 1];
+        bit s of ``edges[z]`` when its edge (s, s + 1) is degenerate: v
+        repeats at s, or the cell's elementary edge (v[s], v[s] + 1) is
+        degenerate by :meth:`normal_values`.  Kept per degree.
+        """
+        masks = self._step_masks.get(degree)
+        if masks is None:
+            repeats, edges = [], []
+            cell = None
+            for x in self.simplices(degree):
+                v = x.epi.values
+                if x.generator is not cell:  # simplices come grouped by cell
+                    cell = x.generator
+                    bad = sum(
+                        1 << a
+                        for a in range(cell.dim)
+                        if self.normal_values(cell, (a, a + 1))[0].dim == 0
+                    )
+                r = e = 0
+                for s in range(degree):
+                    if v[s] == v[s + 1]:
+                        r |= 1 << s
+                    elif bad >> v[s] & 1:
+                        e |= 1 << s
+                repeats.append(r)
+                edges.append(r | e)
+            masks = self._step_masks[degree] = (tuple(repeats), tuple(edges))
+        return masks
 
     def _position_index(self, degree):
         # (generator name, collapse values) -> position in simplices(degree)

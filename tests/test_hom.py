@@ -1,6 +1,7 @@
 """The path-indexed mapping-space engine."""
 
 import time
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from simphom.delta import (
     MonotoneMap,
     compose_monotone,
     degeneracy_map,
+    edge_map,
     face_map,
     identity_map,
 )
@@ -347,6 +349,10 @@ class TestDegeneracy:
             for family in families:
                 is_degenerate_family(family)
             assert filled(space) == before
+            for f in simplices:
+                for k in range(f.width):
+                    almost_degenerate_at(f, k)
+            assert filled(space) == before
 
     def test_witness_reconstruction_over_regular_target(self):
         space = quotient(delta(2), ["0,2"])  # regular but not strongly so
@@ -371,7 +377,8 @@ class TestDegeneracy:
                     if len(space.simplices(p + n)) * (p + n) > 150:
                         continue
                     for f in enumerate_hom_simplices(space, n, p):
-                        columns = _degenerate_columns(f)
+                        mask = _degenerate_columns(f)
+                        columns = {k for k in range(p) if mask >> k & 1}
                         for k in range(p):
                             if not almost_degenerate_at(f, k):
                                 continue
@@ -417,6 +424,66 @@ class TestDegeneracy:
                 lemma4_witness(space, f, cols[0])
             raised += 1
         assert raised > 0  # the nondegenerate near-degenerate exhibits exist
+
+
+def _mask_spaces():
+    """corpus(3, 40) and the irregular landmarks."""
+    all_facets = [frozenset(range(4)) - {i} for i in range(4)]
+    return [e.space for e in corpus(seed=3, count=40)] + [
+        collapsed_ball(2),
+        lurie_family(4, 3, facets=all_facets)[0],
+    ]
+
+
+class TestStepMasks:
+    # each mask verdict against its slow form: collapse values and
+    # apply_map edges, read simplex by simplex
+    def test_table_entries_match_collapse_values_and_apply_map_edges(self):
+        checked = 0
+        for space in _mask_spaces():
+            for d in range(6):
+                repeats, edges = space.step_masks(d)
+                assert len(repeats) == len(edges) == len(space.simplices(d))
+                for z, x in enumerate(space.simplices(d)):
+                    v = x.epi.values
+                    assert repeats[z] == sum(1 << s for s in range(d) if v[s] == v[s + 1])
+                    slow = [space.apply_map(edge_map(s, 1, d), x).is_degenerate for s in range(d)]
+                    assert edges[z] == sum(1 << s for s in range(d) if slow[s])
+                    checked += 1
+        assert checked == 6302
+
+    def test_column_verdicts_match_their_slow_forms(self):
+        columns = edges = 0
+        for space in _mask_spaces():
+            degenerate_edge = {}  # (simplex, step) -> its apply_map verdict
+            for n in (0, 1, 2):
+                for p in range(1, 4):
+                    if len(space.simplices(p + n)) * (p + n) > 150:
+                        continue
+                    steps = list(combinations(range(p + n), p))
+                    words = [path.word for path in all_paths(p, n)]
+                    for f in enumerate_hom_simplices(space, n, p):
+                        collapses = [x.epi.values for x in f.values]
+                        slow = sum(
+                            1 << k
+                            for k in range(p)
+                            if all(v[h[k]] == v[h[k] + 1] for v, h in zip(collapses, steps))
+                        )
+                        assert _degenerate_columns(f) == slow
+                        columns += 1
+                        for k in range(p):
+                            verdicts = []
+                            for j in range(n + 1):
+                                # the path that turns at the grid point (k, j)
+                                word = "H" * k + "V" * j + "H" * (p - k) + "V" * (n - j)
+                                x = f.values[words.index(word)]
+                                if (x, k + j) not in degenerate_edge:
+                                    edge = space.apply_map(edge_map(k + j, 1, p + n), x)
+                                    degenerate_edge[x, k + j] = edge.is_degenerate
+                                verdicts.append(degenerate_edge[x, k + j])
+                            assert almost_degenerate_at(f, k) == all(verdicts)
+                            edges += 1
+        assert (columns, edges) == (57703, 139750)
 
 
 class TestDimension:
@@ -608,6 +675,7 @@ class TestGeneralSource:
             "_faces",
             "_simplex_cache",
             "_face_tables",
+            "_step_masks",
             "_position_indexes",
             "_act_rows",
         }
