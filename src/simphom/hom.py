@@ -23,7 +23,11 @@ On top of the encoding this module provides:
   worked out once per shape: for every small path, the index of its
   lifted path and the step map to pull back along.  Reindexing works on
   positions too: each value is the target's
-  :meth:`~simphom.simpset.SimplicialSet.act` by a step map on a position;
+  :meth:`~simphom.simpset.SimplicialSet.act` by a step map on a position.
+  :func:`hom_complex` builds its face entries the same way, reading the
+  face plans of a degree once and normalising each distinct face once;
+  :func:`hom_face` and :func:`normalize_hom` are the slow route it is
+  tested against;
 * degeneracy detection, both the generic test read off collapse values
   (f is the k-th degeneracy of some simplex exactly when, on every path,
   the collapse of its value repeats at the path's step across column k;
@@ -370,6 +374,12 @@ def _reindex_plan(theta, gamma):
     return tuple(plan)
 
 
+def _plan_rows(space, plan):
+    """A reindex plan read on ``space``: its ``(lifted path index, psi)``
+    pairs with each psi replaced by the target's row ``space.act(psi)``."""
+    return [(index, space.act(psi)) for index, psi in plan]
+
+
 def hom_bireindex(f, theta, gamma):
     """Reindex along theta in the simplex direction, gamma in the source.
 
@@ -379,12 +389,10 @@ def hom_bireindex(f, theta, gamma):
     """
     if theta.target != f.width or gamma.target != f.height:
         raise ValueError("reindexing maps do not match the simplex shape")
-    act, positions = f.space.act, f.positions
+    positions = f.positions
+    plan = _plan_rows(f.space, _reindex_plan(theta, gamma))
     return HomSimplex(
-        f.space,
-        theta.source,
-        gamma.source,
-        _Positions(act(psi)[positions[i]] for i, psi in _reindex_plan(theta, gamma)),
+        f.space, theta.source, gamma.source, _Positions(row[positions[i]] for i, row in plan)
     )
 
 
@@ -688,9 +696,10 @@ def dim_hom(space, n, degree_cap=None):
     """Dimension of Hom(D^n, X).
 
     For a regular target the answer is exactly (n + 1) * dim X, read off
-    that upper bound.  The staircase in any top cell, which the answer does
-    not build, attains it: none of its columns is fully degenerate, and a
-    simplex with no such column is nondegenerate.  Otherwise a degree cap is
+    that upper bound, and a degree cap, if given, is ignored.  The
+    staircase in any top cell, which the answer does not build, attains
+    it: none of its columns is fully degenerate, and a simplex with no
+    such column is nondegenerate.  Otherwise a degree cap is
     required and the scan down from it gives a lower bound: gaps in the
     degrees of nondegenerate simplices cannot be ruled out beyond the cap.
     """
@@ -810,7 +819,7 @@ def iter_hom_families(source, space, p):
     reads = []
     for u in source.cells:
         k, gamma = route[u]
-        plan = [(i, space.act(x)) for i, x in _reindex_plan(ident, gamma)]
+        plan = _plan_rows(space, _reindex_plan(ident, gamma))
         reads.append((u.dim, ends[k], ends[k + 1], plan, {}))
     for positions in _search(space, p, dims, equations):
         family = []
@@ -907,29 +916,60 @@ def hom_complex(space, n, degree_cap=None):
     """Present Hom(D^n, X) as a SimplicialSet, with its cell legend.
 
     For a regular target the presentation is complete: no nondegenerate
-    simplex exists above (n + 1) * dim X.  Otherwise a cap must be given
+    simplex exists above (n + 1) * dim X, so ``degree_cap`` is ignored
+    there, as :func:`dim_hom` ignores it.  Otherwise a cap must be given
     and the result is the cap-skeleton.
 
     Returns ``(complex, legend)`` where legend maps cell ids back to the
     nondegenerate HomSimplex they present.
+
+    The face entries are built on positions, degree by degree.  The p + 1
+    face plans of a degree are read once, as rows of the target; each
+    distinct face is normalised once, into the entry
+    ``normalize_hom(hom_face(f, i))`` would give: its degenerate columns
+    give the collapse, and the core is read through the plan of the
+    collapse's first section, one plan per column mask.
     """
     _non_negative(n=n, degree_cap=degree_cap)
     regular = _regular_or_capped(space, degree_cap)
     # an empty target gives a negative top, so no degree is listed
     top = (n + 1) * space.dim if regular else degree_cap
-    cell_of = {}
+    ident = identity_map(n)
+    cell_of = []  # per degree: the positions of each cell's simplex -> cell
+    sections = {}  # (degree, column mask) -> the collapse and its section's plan
+
+    def normal(q, face):
+        # normalize_hom of the q-simplex with these positions, as an entry
+        columns = _shared_columns(space, q, [(n, face)])
+        if not columns:
+            return FormalSimplex(identity_map(q), cell_of[q][face])
+        known = sections.get((q, columns))
+        if known is None:
+            eps = surjection_from_repeats(q, [k for k in range(q) if columns >> k & 1])
+            plan = _plan_rows(space, _reindex_plan(_first_section(eps), ident))
+            known = sections[q, columns] = eps, plan
+        eps, plan = known
+        return FormalSimplex(eps, cell_of[eps.target][tuple(row[face[i]] for i, row in plan)])
+
     legend = {}
+    faces = {}
     for p in range(top + 1):
         found = _nondegenerate(space, p, (n,), (), [(0, j) for j in range(n + 1)], regular)
+        cells = {}
         for i, z in enumerate(found):
-            c = cell_of[z] = CellId(p, "h%d#%d" % (p, i))
+            c = cells[z] = CellId(p, "h%d#%d" % (p, i))
             legend[c] = HomSimplex(space, p, n, _Positions(z))
-    faces = {}
-    for c, f in legend.items():
-        if f.width:
-            entries = []
-            for i in range(f.width + 1):
-                eps, core = normalize_hom(hom_face(f, i))
-                entries.append(FormalSimplex(eps, cell_of[core.positions]))
-            faces[c] = tuple(entries)
-    return SimplicialSet(cell_of.values(), faces), legend
+        cell_of.append(cells)
+        if not p:
+            continue
+        plans = [_plan_rows(space, _reindex_plan(face_map(i, p), ident)) for i in range(p + 1)]
+        entries = {}  # the positions of a face -> its entry
+        for z, c in cells.items():
+            row_entries = []
+            for plan in plans:
+                face = tuple(row[z[i]] for i, row in plan)
+                if face not in entries:
+                    entries[face] = normal(p - 1, face)
+                row_entries.append(entries[face])
+            faces[c] = tuple(row_entries)
+    return SimplicialSet(legend, faces), legend

@@ -19,7 +19,9 @@ densely.  Both read collapse values and the cell face table by one rule,
 All constructors validate the simplicial identities eagerly, so a
 ``SimplicialSet`` that exists is consistent.  The check works on
 collapse values, by the rule :meth:`SimplicialSet.face_table` uses, so
-construction never calls ``apply_map``.  Instances are immutable after
+construction never calls ``apply_map``.  It reads the faces of each
+distinct face entry once, in a memo local to the check, which is not one
+of the caches below.  Instances are immutable after
 construction (internal caches aside) and safe for unsynchronised
 concurrent reads.
 
@@ -359,16 +361,23 @@ class SimplicialSet:
 
     def _check_simplicial_identities(self):
         # d_i d_j = d_{j-1} d_i on every cell, on (generator, values) pairs,
-        # so construction never goes through apply_map.
+        # so construction never goes through apply_map.  By the rule of
+        # _face_values, the k-th face of a cell is its k-th entry.
+        faces_of = {}
         for c in self._cells:
             if c.dim < 2:
                 continue
-            x = tuple(range(c.dim + 1))
+            second = []
+            for y in self._faces[c]:
+                g, w = y.generator, y.epi.values
+                faces = faces_of.get((g.name, w))
+                if faces is None:
+                    faces = [self._face_values(g, w, i) for i in range(len(w))]
+                    faces_of[g.name, w] = faces
+                second.append(faces)
             for j in range(1, c.dim + 1):
                 for i in range(j):
-                    left = self._face_values(*self._face_values(c, x, j), i)
-                    right = self._face_values(*self._face_values(c, x, i), j - 1)
-                    if left != right:
+                    if second[j][i] != second[i][j - 1]:
                         raise ValueError(
                             "face identities fail on %r at (i=%d, j=%d)" % (c.name, i, j)
                         )

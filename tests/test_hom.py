@@ -588,14 +588,45 @@ class TestAssembledComplex:
             assert not is_degenerate_hom(f) or f.width == 0
 
     def test_faces_agree_with_engine(self):
-        complex_, legend = hom_complex(delta(1), 1)
-        for cell in complex_.cells:
-            if cell.dim == 0:
-                continue
-            f = legend[cell]
-            for i, entry in enumerate(complex_.faces[cell]):
-                eps, core = normalize_hom(hom_face(f, i))
-                assert entry.epi == eps and legend[entry.generator] == core
+        # every face entry, built on positions, against the slow route: the
+        # face reindexed as a HomSimplex and normalised.  The regular
+        # landmarks with (n + 1) * dim X <= 4 have no degenerate face entry;
+        # the collapsed 2-ball and the long-edge triangle have some
+        cases = [
+            (entry.name, entry.space, n, None)
+            for entry in corpus(0)
+            if is_regular(entry.space)
+            for n in (1, 2)
+            if (n + 1) * entry.space.dim <= 4
+        ]
+        landmarks = {entry.name: entry.space for entry in corpus(0)}
+        cases += [
+            ("collapsed_ball(2)", collapsed_ball(2), 1, 2),
+            ("triangle/long-edge", landmarks["triangle/long-edge"], 1, 3),
+        ]
+        assert len(cases) >= 20
+        degenerate = {}
+        for name, space, n, cap in cases:
+            complex_, legend = hom_complex(space, n, degree_cap=cap)
+            for cell in complex_.cells:
+                f = legend[cell]
+                assert (cell.dim, f.height) == (f.width, n)
+                for i, entry in enumerate(complex_.faces.get(cell, ())):
+                    eps, core = normalize_hom(hom_face(f, i))
+                    assert entry.epi == eps and legend[entry.generator] == core, (
+                        name, n, cell.name, i,
+                    )
+                    degenerate[name] = degenerate.get(name, 0) + entry.is_degenerate
+        assert degenerate["collapsed_ball(2)"] and degenerate["triangle/long-edge"]
+
+    def test_a_cap_on_a_regular_target_is_ignored(self):
+        # as in dim_hom: over a regular target the presentation is complete
+        space = delta(1)
+        whole, legend = hom_complex(space, 1)
+        capped, capped_legend = hom_complex(space, 1, degree_cap=1)
+        assert capped.dim == whole.dim == 2
+        assert capped.cells == whole.cells and capped.faces == whole.faces
+        assert capped_legend == legend
 
     def test_irregular_needs_cap(self):
         with pytest.raises(ValueError):

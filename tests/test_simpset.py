@@ -2,6 +2,7 @@
 
 import ast
 import math
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,66 @@ class TestAction:
                         assert space.face(space.face(x, j), i) == space.face(
                             space.face(x, i), j - 1
                         ), (entry.name, c.name, i, j)
+
+    def test_identity_check_agrees_with_apply_map_on_perturbed_tables(self, monkeypatch):
+        # each corpus cell of dimension >= 2 with its face table perturbed:
+        # two entries swapped, or one replaced by another simplex of its
+        # degree.  Construction raises exactly when the face/apply_map
+        # reference finds a failing identity, naming the same first failure
+        def reference(cells, faces):
+            with monkeypatch.context() as patch:
+                patch.setattr(SimplicialSet, "_check_simplicial_identities", lambda self: None)
+                space = SimplicialSet(cells, faces)
+            for c in space.cells:
+                if c.dim < 2:
+                    continue
+                x = cell_simplex(c)
+                for j in range(1, c.dim + 1):
+                    for i in range(j):
+                        left = space.face(space.face(x, j), i)
+                        if left != space.face(space.face(x, i), j - 1):
+                            return "face identities fail on %r at (i=%d, j=%d)" % (c.name, i, j)
+            return None
+
+        outcomes = {True: 0, False: 0}
+        for entry in corpus(0):
+            space = entry.space
+            for c in space.cells:
+                if c.dim < 2:
+                    continue
+                entries = space.faces[c]
+                others = space.simplices(c.dim - 1)
+                tables = []
+                for a, b in combinations(range(c.dim + 1), 2):
+                    swapped = list(entries)
+                    swapped[a], swapped[b] = entries[b], entries[a]
+                    tables.append(swapped)
+                for k in range(c.dim + 1):
+                    for y in others[k :: max(1, len(others) // 3)]:
+                        tables.append(entries[:k] + (y,) + entries[k + 1 :])
+                for table in tables:
+                    faces = dict(space.faces)
+                    faces[c] = tuple(table)
+                    want = reference(space.cells, faces)
+                    outcomes[want is None] += 1
+                    if want is None:
+                        SimplicialSet(space.cells, faces)
+                    else:
+                        with pytest.raises(ValueError) as caught:
+                            SimplicialSet(space.cells, faces)
+                        assert str(caught.value) == want, (entry.name, c.name, table)
+        assert outcomes[True] >= 50 and outcomes[False] >= 50, outcomes
+        # two failing pairs, (1, 2) and (0, 3): j runs outermost, so (1, 2) is named
+        full = delta(3)
+        top = full.cell("0,1,2,3")
+        d0, _, d2, _ = full.faces[top]
+        faces = dict(full.faces)
+        faces[top] = (d0, cell_simplex(full.cell("1,2,3")), d2, cell_simplex(full.cell("0,1,3")))
+        want = "face identities fail on '0,1,2,3' at (i=1, j=2)"
+        assert reference(full.cells, faces) == want
+        with pytest.raises(ValueError) as caught:
+            SimplicialSet(full.cells, faces)
+        assert str(caught.value) == want
 
     def test_construction_never_calls_apply_map(self, apply_map_calls):
         square = product(delta(2), delta(2))  # its factor faces take the slow route
