@@ -924,11 +924,10 @@ def hom_complex(space, n, degree_cap=None):
     nondegenerate HomSimplex they present.
 
     The face entries are built on positions, degree by degree.  The p + 1
-    face plans of a degree are read once, as rows of the target; each
-    distinct face is normalised once, into the entry
-    ``normalize_hom(hom_face(f, i))`` would give: its degenerate columns
-    give the collapse, and the core is read through the plan of the
-    collapse's first section, one plan per column mask.
+    face plans of a degree are read once, as rows of the target, and each
+    distinct face is normalised once into the entry
+    ``normalize_hom(hom_face(f, i))`` would give: a face with no degenerate
+    column is its own cell, and any other goes through :func:`normalize_hom`.
     """
     _non_negative(n=n, degree_cap=degree_cap)
     regular = _regular_or_capped(space, degree_cap)
@@ -936,21 +935,6 @@ def hom_complex(space, n, degree_cap=None):
     top = (n + 1) * space.dim if regular else degree_cap
     ident = identity_map(n)
     cell_of = []  # per degree: the positions of each cell's simplex -> cell
-    sections = {}  # (degree, column mask) -> the collapse and its section's plan
-
-    def normal(q, face):
-        # normalize_hom of the q-simplex with these positions, as an entry
-        columns = _shared_columns(space, q, [(n, face)])
-        if not columns:
-            return FormalSimplex(identity_map(q), cell_of[q][face])
-        known = sections.get((q, columns))
-        if known is None:
-            eps = surjection_from_repeats(q, [k for k in range(q) if columns >> k & 1])
-            plan = _plan_rows(space, _reindex_plan(_first_section(eps), ident))
-            known = sections[q, columns] = eps, plan
-        eps, plan = known
-        return FormalSimplex(eps, cell_of[eps.target][tuple(row[face[i]] for i, row in plan)])
-
     legend = {}
     faces = {}
     for p in range(top + 1):
@@ -968,8 +952,14 @@ def hom_complex(space, n, degree_cap=None):
             row_entries = []
             for plan in plans:
                 face = tuple(row[z[i]] for i, row in plan)
-                if face not in entries:
-                    entries[face] = normal(p - 1, face)
-                row_entries.append(entries[face])
+                entry = entries.get(face)
+                if entry is None:
+                    if _shared_columns(space, p - 1, [(n, face)]):
+                        eps, core = normalize_hom(HomSimplex(space, p - 1, n, _Positions(face)))
+                        entry = FormalSimplex(eps, cell_of[eps.target][core.positions])
+                    else:
+                        entry = FormalSimplex(identity_map(p - 1), cell_of[p - 1][face])
+                    entries[face] = entry
+                row_entries.append(entry)
             faces[c] = tuple(row_entries)
     return SimplicialSet(legend, faces), legend
