@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 
 @dataclass(frozen=True, order=True)
@@ -201,5 +202,12 @@ def word_to_surjection(word):
 
 
 def surjection_from_repeats(p, repeats):
-    """The surjection out of [p] whose collapse positions are ``repeats``."""
-    return word_to_surjection(SurjectionWord(p, tuple(sorted(repeats, reverse=True))))
+    """The surjection out of [p] whose collapse positions are ``repeats``.
+
+    Its values climb by one at every step outside ``repeats``.  A repeat
+    outside [0, p - 1], or one given twice, leaves a value above the
+    target p - len(repeats) and raises ``ValueError``.
+    """
+    collapsed = set(repeats)
+    steps = (i not in collapsed for i in range(p))
+    return MonotoneMap(p, p - len(repeats), tuple(accumulate(steps, initial=0)))

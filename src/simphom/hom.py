@@ -46,9 +46,10 @@ On top of the encoding this module provides:
   maximal cells, each face entry of the source giving equations between
   two paths, and the other values are reindexed along routes.  Their
   dimension is read piece by piece over the connected components of the
-  source; a source whose cells form a standard simplex is answered as
-  Hom(D^n, X), whatever presentation it came in, and any other scan over
-  a regular target starts at the vertex bound |U_0| * dim X.
+  source.  Over a regular target a piece whose vertex digraph has no
+  directed cycle (a standard simplex however written, a nerve) answers
+  the vertex bound |U_0| * dim X at once, and any other piece is scanned
+  down from that bound.
 
 Computing Hom(U, X) keeps no state of its own on X.  Every memo of a
 search (candidate buckets, a family stream's derived values) is a local
@@ -86,6 +87,7 @@ from .simpset import (
     _positions,
     cell_simplex,
     subcomplex,
+    transitive_closure,
 )
 
 
@@ -630,17 +632,6 @@ def _nondegenerate(space, p, dims, equations, seats, regular):
     )
 
 
-def _spans_simplex(space, cell):
-    """Whether the cells that ``cell`` generates form a standard simplex.
-
-    A q-cell c qualifies exactly when it generates 2 ** (q + 1) - 1 cells:
-    S |-> (generator of the face of c on the vertex set S) maps the
-    nonempty S onto those cells, so equal counts make it a bijection, and
-    a degenerate face would share its generator with a smaller face.
-    """
-    return len(_face_closure(space, [cell])) == 2 ** (cell.dim + 1) - 1
-
-
 def staircase_table(n, q):
     """Vertex values of the extremal staircase of degree (n + 1) * q.
 
@@ -844,6 +835,15 @@ def is_degenerate_family(family):
     return bool(_shared_columns(family.space, family.width, parts))
 
 
+def _has_vertex_cycle(source):
+    """Whether the vertex digraph of U has a directed cycle.  It has one
+    arrow d_1 e -> d_0 e for each 1-cell e whose two faces differ, so a
+    loop adds none; a cycle is a pair (v, v) of its transitive closure."""
+    faces = (source.faces[e] for e in source.cells_of_dim(1))
+    arrows = [(d1.generator, d0.generator) for d0, d1 in faces if d0.generator != d1.generator]
+    return any(a == b for a, b in transitive_closure(arrows))
+
+
 def theorem1bis_bound(source, space):
     """The additive dimension bound: sum of (dim u + 1) * dim X over cells,
     and never below -1, the dimension of an empty mapping space."""
@@ -860,11 +860,24 @@ def dim_hom_general(source, space, degree_cap=None):
     target each piece answers at least 0, so the dimensions add, cut to
     the cap when one is needed.
 
-    When a connected U is a standard simplex by its cells (one maximal
-    cell w, which spans a simplex), Hom(U, X) is Hom(D^{dim w}, X) and
-    :func:`dim_hom` answers, capped or not.  Otherwise the scan runs down
-    from the cap, or over a regular target from the vertex bound
-    |U_0| * dim X, and each degree stops at its first nondegenerate family.
+    Over a regular X, a connected U whose vertex digraph (see
+    :func:`_has_vertex_cycle`) has no directed cycle answers the vertex
+    bound |U_0| * dim X at once.  Rank U_0 along a topological order,
+    r : U_0 -> [N] with N = |U_0| - 1.  Each elementary edge of a cell of
+    U is either degenerate, with equal endpoints, or a 1-cell, which is a
+    loop or an arrow, so r is monotone along every cell.  It therefore
+    gives a simplicial map U -> D^N, as maps into a nerve are exactly the
+    vertex maps monotone along every simplex.  Pull back along r the
+    staircase of ``staircase_table(N, dim X)``, written into a top cell of
+    X.  As r is a bijection, the vertex components of that family are the
+    staircase's rows, all of them.  Each column step of the staircase climbs an
+    elementary edge of the cell, nondegenerate over a regular X, so no
+    column is fully degenerate, and by the column criterion below the
+    family is nondegenerate.  Hence the dimension is at least
+    |U_0| * dim X, which the vertex bound below caps.  Every other
+    connected U is scanned down from the cap, or over a regular target
+    from the vertex bound, and each degree stops at its first
+    nondegenerate family.
 
     The column criterion: over a regular X a family is degenerate at k
     exactly when the edge at k of every vertex component x_v in X_p is.
@@ -896,12 +909,11 @@ def dim_hom_general(source, space, degree_cap=None):
         if all(part.exact for part in parts):
             return HomDimension(total, True)
         return HomDimension(min(total, degree_cap), False)
-    maximal = _maximal_cells(source)
-    if len(maximal) == 1 and _spans_simplex(source, maximal[0]):
-        return dim_hom(space, maximal[0].dim, degree_cap)
     regular = _regular_or_capped(space, degree_cap)
-    start = len(source.cells_of_dim(0)) * space.dim if regular else degree_cap
-    for p in range(start, -1, -1):
+    bound = len(source.cells_of_dim(0)) * space.dim
+    if regular and not _has_vertex_cycle(source):
+        return HomDimension(bound, True)
+    for p in range(bound if regular else degree_cap, -1, -1):
         dims, equations, seats, _ = _family_layout(source, p)
         if next(_nondegenerate(space, p, dims, equations, seats, regular), None) is not None:
             return HomDimension(p, regular)

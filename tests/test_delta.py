@@ -131,6 +131,21 @@ class TestSurjectionWords:
         with pytest.raises(ValueError):
             SurjectionWord(2, (5,))  # out of range
 
+    def test_repeats_build_the_decoded_word(self):
+        from itertools import combinations
+
+        for p in range(8):
+            for size in range(p + 1):
+                for repeats in combinations(range(p), size):
+                    word = SurjectionWord(p, sorted(repeats, reverse=True))
+                    assert surjection_from_repeats(p, repeats) == word_to_surjection(word)
+                    assert surjection_from_repeats(p, set(repeats)) == word_to_surjection(word)
+
+    def test_repeats_out_of_range_are_rejected(self):
+        for p, repeats in [(3, (3,)), (3, (-1,)), (0, (0,)), (4, (1, 5)), (3, (1, 1))]:
+            with pytest.raises(ValueError):
+                surjection_from_repeats(p, repeats)
+
 
 class TestCommutationTables:
     """The two exhaustive commutation tables used throughout: how collapses

@@ -16,13 +16,15 @@ from simphom.delta import (
 from simphom.exhibits import corpus, lurie_family
 from simphom.hom import (
     HomDimension,
+    HomFamily,
     HomSimplex,
     RegularityViolation,
     _degenerate_columns,
+    _has_vertex_cycle,
     _maximal_cells,
     _nondegenerate,
-    _spans_simplex,
     _staircase_witness,
+    _written_simplex,
     almost_degenerate_at,
     dim_hom,
     dim_hom_general,
@@ -42,6 +44,7 @@ from simphom.hom import (
     iter_hom_simplices,
     lemma4_witness,
     normalize_hom,
+    staircase_table,
     theorem1bis_bound,
     validate_hom_simplex,
 )
@@ -505,21 +508,6 @@ class TestDimension:
         # delta(9) has 1023 cells: the top-cell search must not recurse per cell
         assert dim_hom(delta(9), 0) == HomDimension(9, True)
 
-    def test_cell_count_detects_an_embedded_standard_simplex(self):
-        # the count rule of _spans_simplex against the isomorphism search
-        spaces = [e.space for e in corpus(seed=3, count=80)] + [
-            collapsed_ball(3),
-            quotient(boundary_delta(3), ["0,1"]),
-            product(delta(1), delta(1)),
-        ]
-        checked = 0
-        for space in spaces:
-            for c in space.cells:
-                slow = is_isomorphic(subcomplex(space, [c]), delta(c.dim))
-                assert _spans_simplex(space, c) == slow, (space, c)
-                checked += 1
-        assert checked > 900
-
     def test_the_staircase_in_any_top_cell_of_a_regular_space_is_nondegenerate(self):
         regular = [e.space for e in corpus(seed=3, count=200) if is_regular(e.space)]
         no_simplex = []
@@ -530,7 +518,7 @@ class TestDimension:
                 for c in top:
                     assert is_degenerate_hom(_staircase_witness(space, c, n)) is False
                     witnesses += 1
-            if not any(_spans_simplex(space, c) for c in top):
+            if not any(is_isomorphic(subcomplex(space, [c]), delta(c.dim)) for c in top):
                 no_simplex.append(space)
         assert witnesses == 1359
         # where no top cell spans a simplex (triangle/long-edge is the
@@ -817,6 +805,9 @@ class TestStandardSimplexSource:
             (quotient(delta(2), ["0,2"]), None),
             (collapsed_ball(2), 3),
         ]
+        # over an irregular target a simplex source takes the capped scan
+        irregular = [e.space for e in corpus(seed=3, count=40) if not is_regular(e.space)]
+        targets += [(space, cap) for space in irregular for cap in (2, 3)]
         for source in written:
             assert is_isomorphic(source, delta(3))
             for target, cap in targets:
@@ -826,7 +817,7 @@ class TestStandardSimplexSource:
         assert dim_hom_general(written[1], collapsed_ball(2), 3) == HomDimension(3, False)
 
     def test_a_subcomplex_presented_simplex_is_fast(self):
-        # the family route took minutes here; the simplex route milliseconds
+        # the family scan took minutes here; the ordered vertices answer at once
         started = time.monotonic()
         got = dim_hom_general(subcomplex(delta(3), ["0,1,2,3"]), delta(2))
         assert got == HomDimension(8, True)
@@ -834,8 +825,9 @@ class TestStandardSimplexSource:
 
     def test_a_single_maximal_cell_that_is_no_simplex_keeps_the_family_route(self):
         source = quotient(delta(2), ["0,2"])
-        (top,) = _maximal_cells(source)
-        assert not _spans_simplex(source, top)
+        assert len(_maximal_cells(source)) == 1
+        # its vertices * and 1 form a directed cycle, so no order applies
+        assert _has_vertex_cycle(source)
         target = delta(1)
         expected = -1
         for p in range(theorem1bis_bound(source, target), -1, -1):
@@ -920,3 +912,93 @@ class TestVertexBound:
         expected = _slow_top_degree(source, target, (top.dim + 1) * target.dim)
         assert expected == 2
         assert dim_hom_general(source, target) == HomDimension(expected, True)
+
+
+def _topological_ranks(source):
+    """A rank for each vertex of U along its arrows d_1 e -> d_0 e, by
+    repeatedly taking the vertices that no arrow from a remaining vertex
+    enters."""
+    arrows = set()
+    for e in source.cells_of_dim(1):
+        d0, d1 = source.faces[e]
+        if d0.generator != d1.generator:
+            arrows.add((d1.generator, d0.generator))
+    rest, ranks = list(source.cells_of_dim(0)), {}
+    while rest:
+        free = [v for v in rest if not any(b == v and a in rest for a, b in arrows)]
+        assert free, "the vertex digraph has a directed cycle"
+        for v in free:
+            ranks[v] = len(ranks)
+        rest = [v for v in rest if v not in ranks]
+    return ranks
+
+
+def _staircase_family(source, space):
+    """The staircase of degree |U_0| * dim X pulled back along the ranks of
+    :func:`_topological_ranks`, written into the first top cell of X."""
+    ranks = _topological_ranks(source)
+    top = space.cells_of_dim(space.dim)[0]
+    table = staircase_table(len(ranks) - 1, space.dim)
+    p = len(ranks) * space.dim
+    values = []
+    for u in source.cells:
+        levels = [ranks[source.normal_values(u, (j,))[0]] for j in range(u.dim + 1)]
+
+        def chain(path, levels=levels):
+            return tuple(table[i][levels[j]] for i, j in path.points())
+
+        values.append(_written_simplex(space, top, p, u.dim, chain))
+    return HomFamily(source, space, p, source.cells, tuple(values))
+
+
+class TestOrderedVertices:
+    def test_the_pulled_back_staircase_certifies_the_vertex_bound(self):
+        # the lower half of the rule, built and checked without the search
+        q2 = quotient(delta(2), ["0,2"])
+        checked = 0
+        for entry in corpus(seed=5, count=70):
+            source = entry.space
+            if _has_vertex_cycle(source):
+                continue
+            for space in (delta(2), q2):
+                family = _staircase_family(source, space)
+                for u in source.cells:
+                    for i, fs in enumerate(source.faces[u]):
+                        here = hom_source_reindex(family.value(u), face_map(i, u.dim))
+                        there = hom_source_reindex(family.value(fs.generator), fs.epi)
+                        assert here == there, (entry.name, u, i)
+                assert is_degenerate_family(family) is False, (entry.name, space)
+                assert family.width == len(source.cells_of_dim(0)) * space.dim
+                checked += 1
+        assert checked == 132
+
+    def test_vertex_cycles_on_named_sources(self):
+        q2 = quotient(delta(2), ["0,2"])
+        q3 = quotient(delta(3), ["0,3"])
+        circle = quotient(delta(1), ["0", "1"])
+        for cyclic in (q2, q3, product(q2, delta(1)), product(q3, delta(1))):
+            assert _has_vertex_cycle(cyclic), cyclic
+        landmarks = {entry.name: entry.space for entry in corpus(0)}
+        names = ["nerve-chain", "nerve-vee", "nerve-diamond", "nerve-fence"]
+        names += ["boundary2", "boundary3", "square", "prism"]
+        # the circle's one 1-cell is a loop, which adds no arrow
+        for acyclic in [circle, product(circle, circle)] + [landmarks[n] for n in names]:
+            assert not _has_vertex_cycle(acyclic), acyclic
+
+    def test_acyclic_sources_answer_the_vertex_bound_without_a_search(self):
+        # each of these scanned for 0.4 s to over 30 s before
+        q2 = quotient(delta(2), ["0,2"])
+        landmarks = {entry.name: entry.space for entry in corpus(seed=5, count=70)}
+        cases = [
+            ("nerve-fence", delta(2), 8),
+            ("nerve-diamond", delta(2), 8),
+            ("square", landmarks["square"], 8),
+            ("rnd18:poset", q2, 10),
+            ("rnd18:poset", delta(2), 10),
+            ("prism", delta(2), 12),
+            ("rnd0:product", delta(2), 18),
+        ]
+        for name, target, expected in cases:
+            started = time.monotonic()
+            assert dim_hom_general(landmarks[name], target) == HomDimension(expected, True)
+            assert time.monotonic() - started < 1, (name, target)
