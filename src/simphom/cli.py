@@ -20,13 +20,13 @@ Commands run the checkers and computations::
     homdim NAME target NAME [cap C] | homcount N P target NAME
     dump NAME | example tight N Q | example lurie Q A P
 
-``homdim`` is one :func:`simphom.hom.dim_hom_general` call, which picks its
-route from the cells of the source: pieces (a disconnected source answers
-as the sum of its connected pieces), ordered vertices (over a regular
-target, a source with no directed cycle of 1-cells answers |U_0| * dim X
-at once: a standard simplex however written, ``delta 3``,
-``sub A by 0 1 2 3`` or a chain's nerve, and any other nerve) or scan
-(any other source, down from the cap or from |U_0| * dim X).
+``homdim`` is one :func:`simphom.hom.dim_hom_general` call, which answers
+each connected piece of the source by one of two routes, read off its
+cells, and adds the answers: ordered vertices (over a regular target, a
+piece with no directed cycle of 1-cells answers |A_0| * dim X at once: a
+standard simplex however written, ``delta 3``, ``sub A by 0 1 2 3`` or a
+chain's nerve, and any other nerve) or scan (any other piece, down from
+the cap or from |A_0| * dim X).
 
 Each command prints one JSON object per line: ``command``, ``inputs``,
 then ``verdict``/``value`` with optional ``witness`` or ``counts``, and

@@ -43,13 +43,13 @@ On top of the encoding this module provides:
   otherwise a capped scan gives an honest lower bound;
 * mapping spaces out of an arbitrary finite source, as compatible
   families over its cells: the same search fills the paths of the
-  maximal cells, each face entry of the source giving equations between
-  two paths, and the other values are reindexed along routes.  Their
-  dimension is read piece by piece over the connected components of the
-  source.  Over a regular target a piece whose vertex digraph has no
-  directed cycle (a standard simplex however written, a nerve) answers
-  the vertex bound |U_0| * dim X at once, and any other piece is scanned
-  down from that bound.
+  maximal cells, each face entry of the source equating pairs of paths,
+  and the other values are reindexed along routes.  Their dimension is
+  one loop over the connected pieces of the source, read in place: over
+  a regular target a piece whose vertex digraph has no directed cycle (a
+  standard simplex however written, a nerve) answers the vertex bound
+  |U_0| * dim X at once, any other piece is scanned down from that
+  bound, and the answers add.
 
 Computing Hom(U, X) keeps no state of its own on X.  Every memo of a
 search (candidate buckets, a family stream's derived values) is a local
@@ -86,7 +86,6 @@ from .simpset import (
     _face_closure,
     _positions,
     cell_simplex,
-    subcomplex,
     transitive_closure,
 )
 
@@ -213,7 +212,7 @@ def validate_hom_simplex(f):
 # Enumeration.
 # ---------------------------------------------------------------------------
 
-def _search(space, p, dims, equations=(), seats=()):
+def _search(space, p, dims, sides=(), seats=()):
     """The one backtracking search of this module, on integer positions.
 
     Its slots are the pairs (cell k, path m of the (p, dims[k]) grid), in
@@ -224,10 +223,12 @@ def _search(space, p, dims, equations=(), seats=()):
     Every constraint is one check ``(a, r, mine)`` of a later slot: its
     candidate z passes when ``mine[z] == r[assign[a]]``.  A unit-square
     flip at the point i between two paths of one cell reads the row
-    ``face_table(p + d)[i]`` on both sides.  Each of the ``equations``,
-    ``((k, m, psi), (k', m', phi))``, reads the rows ``act(psi)`` and
-    ``act(phi)``; it is dropped when both sides are equal, and one that
-    reads a single slot twice narrows that slot's candidates once.  A
+    ``face_table(p + d)[i]`` on both sides.  A side ``(k, here, k',
+    there)`` of :func:`_family_layout` pairs the reindex plans of here and
+    there in degree p: the slot (k, m) read through ``act(psi)`` equals
+    the slot (k', m') read through ``act(phi)``.  A pair with equal ends
+    is dropped, and one that reads a single slot twice narrows that
+    slot's candidates once.  A
     slot's first check picks one bucket of its candidates, which keeps the
     scan near output-linear, and the others filter it; buckets keep
     candidate order and are shared by slots with one candidate list and
@@ -249,15 +250,17 @@ def _search(space, p, dims, equations=(), seats=()):
         faces = space.face_table(p + d) if p and d else ()
         for m, links in enumerate(flip_constraints(p, d)):
             checks[offsets[k] + m] = [(offsets[k] + a, faces[i], faces[i]) for a, i in links]
-    for (k, m, psi), (kk, mm, phi) in equations:
-        a, b = offsets[k] + m, offsets[kk] + mm
-        if a > b:
-            a, psi, b, phi = b, phi, a, psi
-        if a != b:
-            checks[b].append((a, space.act(psi), space.act(phi)))
-        elif psi != phi:
-            r, mine = space.act(psi), space.act(phi)
-            slots[b] = [z for z in slots[b] if r[z] == mine[z]]
+    ident = identity_map(p)
+    for k, here, kk, there in sides:
+        for (m, psi), (mm, phi) in zip(_reindex_plan(ident, here), _reindex_plan(ident, there)):
+            a, b = offsets[k] + m, offsets[kk] + mm
+            if a > b:
+                a, psi, b, phi = b, phi, a, psi
+            if a != b:
+                checks[b].append((a, space.act(psi), space.act(phi)))
+            elif psi != phi:
+                r, mine = space.act(psi), space.act(phi)
+                slots[b] = [z for z in slots[b] if r[z] == mine[z]]
     shelves = {}  # (candidates, row) -> [their buckets, once built]
     for s, listed in enumerate(checks):
         first = None
@@ -614,7 +617,7 @@ class HomDimension:
         return str(self.value) if self.exact else ">= %d" % (self.value,)
 
 
-def _nondegenerate(space, p, dims, equations, seats, regular):
+def _nondegenerate(space, p, dims, sides, seats, regular):
     """Stream the nondegenerate results of :func:`_search`, in its order:
     those whose maximal values, one per cell k of dimension dims[k], share
     no column of :func:`_degenerate_columns`.  Over a regular target the
@@ -622,12 +625,12 @@ def _nondegenerate(space, p, dims, equations, seats, regular):
     :func:`dim_hom_general` proves; over any other each result is tested.
     """
     if regular:
-        return _search(space, p, dims, equations, seats)
+        return _search(space, p, dims, sides, seats)
     ends = _cell_slots(p, dims)
     spans = [(d, slice(a, b)) for d, a, b in zip(dims, ends, ends[1:])]
     return (
         z
-        for z in _search(space, p, dims, equations)
+        for z in _search(space, p, dims, sides)
         if not _shared_columns(space, p, ((d, z[s]) for d, s in spans))
     )
 
@@ -699,10 +702,10 @@ def dim_hom(space, n, degree_cap=None):
         return HomDimension(-1, True)
     if _regular_or_capped(space, degree_cap):
         return HomDimension((n + 1) * space.dim, True)
+    # the constant simplices answer degree 0 over a nonempty target
     for p in range(degree_cap, -1, -1):
         if next(_nondegenerate(space, p, (n,), (), (), False), None) is not None:
             return HomDimension(p, False)
-    return HomDimension(-1, False)
 
 
 # ---------------------------------------------------------------------------
@@ -743,21 +746,20 @@ def _pieces(source):
     return pieces
 
 
-def _family_layout(source, p):
-    """The ``(dims, equations, seats, route)`` of :func:`_search` over the
-    maximal cells of U in degree p.  The first maximal w whose closure
+def _family_layout(source, cells):
+    """The ``(dims, sides, seats, route)`` of :func:`_search` over the
+    maximal cells of U among ``cells``, a union of its connected pieces;
+    none of them depends on the degree.  The first maximal w whose closure
     holds u owns it, along a route gamma_u : [dim u] -> [dim w] of face
     maps and first-preimage sections: x_u o d_i = x_g o epi gives
     x_g = x_u o d_i o section(epi), so x_u is x_w reindexed along gamma_u,
     and ``route[u]`` is (k, gamma_u) for w the k-th maximal cell.  Each
-    face entry (i, epi, g) of u equates the plans of gamma_u o d_i and
-    gamma_g o epi on each path of the (p, dim u - 1) grid; an entry whose
-    two sides reach one owner along one map equates each slot with itself,
-    and its plans are never built.  Each vertex sits at its first place,
-    seen first.
+    face entry (i, epi, g) of u gives the side (k, gamma_u o d_i, k',
+    gamma_g o epi), kept when its two ends differ: an entry whose two
+    sides reach one owner along one map equates each slot with itself.
+    Each vertex sits at its first place, seen first.
     """
-    maximal = _maximal_cells(source)
-    ident = identity_map(p)
+    maximal = [w for w in _maximal_cells(source) if w in cells]
     route = {}
     for k, w in enumerate(maximal):
         route[w] = (k, identity_map(w.dim))
@@ -768,27 +770,21 @@ def _family_layout(source, p):
                 if fs.generator not in route:
                     step = compose_monotone(face_map(i, u.dim), _first_section(fs.epi))
                     route[fs.generator] = (owner, compose_monotone(gamma, step))
-
-    def sides():
-        for u in source.cells:
+    sides = []
+    for u in source.cells:
+        if u in route:
+            k, gamma = route[u]
             for i, fs in enumerate(source.faces[u]):
-                (k, gamma), (kk, eta) = route[u], route[fs.generator]
-                # the values of gamma o d_i and of eta o epi, compared unbuilt
-                v, w = gamma.values, eta.values
-                if k != kk or v[:i] + v[i + 1:] != tuple(w[t] for t in fs.epi.values):
-                    here = compose_monotone(gamma, face_map(i, u.dim))
-                    yield k, here, kk, compose_monotone(eta, fs.epi)
-
-    equations = (
-        ((k, m, psi), (kk, mm, phi))
-        for k, here, kk, there in sides()
-        for (m, psi), (mm, phi) in zip(_reindex_plan(ident, here), _reindex_plan(ident, there))
-    )
+                kk, eta = route[fs.generator]
+                here = compose_monotone(gamma, face_map(i, u.dim))
+                there = compose_monotone(eta, fs.epi)
+                if (k, here) != (kk, there):
+                    sides.append((k, here, kk, there))
     seats = {}
     for k, w in enumerate(maximal):
         for j in range(w.dim + 1):
             seats.setdefault(source.normal_values(w, (j,))[0], (k, j))
-    return [w.dim for w in maximal], equations, list(seats.values()), route
+    return [w.dim for w in maximal], sides, list(seats.values()), route
 
 
 def iter_hom_families(source, space, p):
@@ -804,7 +800,7 @@ def iter_hom_families(source, space, p):
     A negative p raises ``ValueError`` when the stream starts.
     """
     _non_negative(p=p)
-    dims, equations, _, route = _family_layout(source, p)
+    dims, sides, _, route = _family_layout(source, source.cells)
     ends = _cell_slots(p, dims)
     ident = identity_map(p)
     reads = []
@@ -812,7 +808,7 @@ def iter_hom_families(source, space, p):
         k, gamma = route[u]
         plan = _plan_rows(space, _reindex_plan(ident, gamma))
         reads.append((u.dim, ends[k], ends[k + 1], plan, {}))
-    for positions in _search(space, p, dims, equations):
+    for positions in _search(space, p, dims, sides):
         family = []
         for d, start, end, plan, known in reads:
             z = positions[start:end]
@@ -835,11 +831,11 @@ def is_degenerate_family(family):
     return bool(_shared_columns(family.space, family.width, parts))
 
 
-def _has_vertex_cycle(source):
-    """Whether the vertex digraph of U has a directed cycle.  It has one
-    arrow d_1 e -> d_0 e for each 1-cell e whose two faces differ, so a
-    loop adds none; a cycle is a pair (v, v) of its transitive closure."""
-    faces = (source.faces[e] for e in source.cells_of_dim(1))
+def _has_vertex_cycle(source, cells):
+    """Whether the vertex digraph of U on ``cells`` has a directed cycle.
+    It has one arrow d_1 e -> d_0 e for each 1-cell e there whose faces
+    differ, so a loop adds none; a cycle is a pair (v, v) of its closure."""
+    faces = (source.faces[e] for e in cells if e.dim == 1)
     arrows = [(d1.generator, d0.generator) for d0, d1 in faces if d0.generator != d1.generator]
     return any(a == b for a, b in transitive_closure(arrows))
 
@@ -853,12 +849,13 @@ def theorem1bis_bound(source, space):
 def dim_hom_general(source, space, degree_cap=None):
     """Dimension of Hom(U, X), exact for regular X.
 
-    A source in connected pieces A, B, ... is answered piece by piece:
-    Hom(A + B, X) is Hom(A, X) x Hom(B, X), and a product has
-    nondegenerate simplices exactly in the degrees [max(i, j), i + j] for
-    nondegenerate i- and j-simplices of its factors.  Over a nonempty
-    target each piece answers at least 0, so the dimensions add, cut to
-    the cap when one is needed.
+    One loop answers the connected pieces A, B, ... of U, each read in
+    place as a set of its cells: Hom(A + B, X) is Hom(A, X) x Hom(B, X),
+    and a product has nondegenerate simplices exactly in the degrees
+    [max(i, j), i + j] for nondegenerate i- and j-simplices of its
+    factors.  Over a nonempty target each piece answers at least 0, with
+    its constant families, so the dimensions add, cut to the cap when one
+    is needed.
 
     Over a regular X, a connected U whose vertex digraph (see
     :func:`_has_vertex_cycle`) has no directed cycle answers the vertex
@@ -876,8 +873,8 @@ def dim_hom_general(source, space, degree_cap=None):
     family is nondegenerate.  Hence the dimension is at least
     |U_0| * dim X, which the vertex bound below caps.  Every other
     connected U is scanned down from the cap, or over a regular target
-    from the vertex bound, and each degree stops at its first
-    nondegenerate family.
+    from the vertex bound, on one :func:`_family_layout`, and each degree
+    stops at its first nondegenerate family.
 
     The column criterion: over a regular X a family is degenerate at k
     exactly when the edge at k of every vertex component x_v in X_p is.
@@ -902,22 +899,20 @@ def dim_hom_general(source, space, degree_cap=None):
     _non_negative(degree_cap=degree_cap)
     if space.dim < 0:
         return HomDimension(0 if not source.cells else -1, True)
-    pieces = _pieces(source)
-    if len(pieces) > 1:
-        parts = [dim_hom_general(subcomplex(source, cells), space, degree_cap) for cells in pieces]
-        total = sum(part.value for part in parts)
-        if all(part.exact for part in parts):
-            return HomDimension(total, True)
-        return HomDimension(min(total, degree_cap), False)
     regular = _regular_or_capped(space, degree_cap)
-    bound = len(source.cells_of_dim(0)) * space.dim
-    if regular and not _has_vertex_cycle(source):
-        return HomDimension(bound, True)
-    for p in range(bound if regular else degree_cap, -1, -1):
-        dims, equations, seats, _ = _family_layout(source, p)
-        if next(_nondegenerate(space, p, dims, equations, seats, regular), None) is not None:
-            return HomDimension(p, regular)
-    return HomDimension(-1, regular)
+    total = 0
+    for cells in _pieces(source):
+        bound = sum(u.dim == 0 for u in cells) * space.dim
+        if regular and not _has_vertex_cycle(source, cells):
+            total += bound
+            continue
+        dims, sides, seats, _ = _family_layout(source, cells)
+        # the constant families answer degree 0 over a nonempty target
+        for p in range(bound if regular else degree_cap, -1, -1):
+            if next(_nondegenerate(space, p, dims, sides, seats, regular), None) is not None:
+                total += p
+                break
+    return HomDimension(total if regular else min(total, degree_cap), regular)
 
 
 # ---------------------------------------------------------------------------

@@ -616,16 +616,20 @@ def product(a, b):
 
 
 def transitive_closure(pairs):
-    """The smallest transitive relation containing the given pairs, as a set."""
-    rel = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (x, y) in list(rel):
-            for (y2, z) in list(rel):
-                if y2 == y and (x, z) not in rel:
-                    rel.add((x, z))
-                    changed = True
+    """The smallest transitive relation containing the given pairs, as a
+    set: (x, z) for each z that a walk of one or more pairs reaches from x."""
+    after = {}
+    for x, y in pairs:
+        after.setdefault(x, set()).add(y)
+    rel = set()
+    for x, successors in after.items():
+        todo, reached = list(successors), set()
+        while todo:
+            y = todo.pop()
+            if y not in reached:
+                reached.add(y)
+                todo.extend(after.get(y, ()))
+        rel.update((x, y) for y in reached)
     return rel
 
 

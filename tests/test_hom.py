@@ -1,5 +1,6 @@
 """The path-indexed mapping-space engine."""
 
+import math
 import time
 from itertools import combinations
 
@@ -23,6 +24,7 @@ from simphom.hom import (
     _has_vertex_cycle,
     _maximal_cells,
     _nondegenerate,
+    _pieces,
     _staircase_witness,
     _written_simplex,
     almost_degenerate_at,
@@ -52,6 +54,8 @@ from simphom.oracle import brute_force_hom_count, count_monotone_lattice_maps
 from simphom.paths import all_paths, split_path_at_column
 from simphom.regularity import is_regular
 from simphom.simpset import (
+    CellId,
+    FormalSimplex,
     SimplicialSet,
     boundary_delta,
     cell_simplex,
@@ -559,6 +563,22 @@ class TestDimension:
                         best = max(best, p)
             assert dim_hom(space, n, degree_cap=cap) == HomDimension(best, False), (space, n, cap)
 
+    def test_degree_0_always_answers_under_a_zero_cap(self):
+        # the constant simplices and families are nondegenerate in degree 0
+        irregular = [e.space for e in corpus(seed=3, count=40) if not is_regular(e.space)]
+        sources = [
+            SimplicialSet([], {}),
+            delta(0),
+            delta(1),
+            disjoint_sum(delta(0), delta(0)),
+        ]
+        for space in irregular:
+            for n in (0, 1, 2):
+                assert dim_hom(space, n, degree_cap=0) == HomDimension(0, False), (space, n)
+            for source in sources:
+                got = dim_hom_general(source, space, degree_cap=0)
+                assert got == HomDimension(0, False), (source, space)
+
     def test_a_regular_answer_lists_no_simplex(self):
         # the bound is the answer; the staircase certifying it has 245,157
         # paths here and is not written
@@ -827,7 +847,7 @@ class TestStandardSimplexSource:
         source = quotient(delta(2), ["0,2"])
         assert len(_maximal_cells(source)) == 1
         # its vertices * and 1 form a directed cycle, so no order applies
-        assert _has_vertex_cycle(source)
+        assert _has_vertex_cycle(source, source.cells)
         target = delta(1)
         expected = -1
         for p in range(theorem1bis_bound(source, target), -1, -1):
@@ -847,13 +867,74 @@ def _slow_top_degree(source, target, start):
     return -1
 
 
+def _piecewise(source, target, cap=None):
+    """The former route for a disconnected source, kept as the reference:
+    each piece built as its own subcomplex and answered apart, the answers
+    added and, under a cap, cut to it."""
+    parts = [dim_hom_general(subcomplex(source, cells), target, cap) for cells in _pieces(source)]
+    total = sum(part.value for part in parts)
+    if all(part.exact for part in parts):
+        return HomDimension(total, True)
+    return HomDimension(min(total, cap), False)
+
+
+def _chain(k):
+    """The path v0 -> v1 -> ... -> vk of k 1-cells, and nothing else."""
+    vertices = [CellId(0, "v%d" % i) for i in range(k + 1)]
+    edges = [CellId(1, "e%d" % i) for i in range(k)]
+    faces = {v: () for v in vertices}
+    for i, e in enumerate(edges):
+        ends = (vertices[i + 1], vertices[i])  # d_0 e is the arrow's end, d_1 e its start
+        faces[e] = tuple(FormalSimplex(identity_map(0), v) for v in ends)
+    return SimplicialSet(vertices + edges, faces)
+
+
 class TestVertexBound:
-    def test_a_disconnected_source_answers_as_the_sum_of_its_pieces(self):
+    def test_a_disconnected_source_answers_as_the_sum_of_its_pieces(self, monkeypatch):
         # the family search over the whole source took minutes and more
+        source, target = disjoint_sum(delta(3), delta(0)), delta(2)
+        built = []
+        original = SimplicialSet.__init__
+
+        def counted(self, cells, faces):
+            built.append(cells)
+            original(self, cells, faces)
+
+        monkeypatch.setattr(SimplicialSet, "__init__", counted)
         started = time.monotonic()
-        got = dim_hom_general(disjoint_sum(delta(3), delta(0)), delta(2))
+        got = dim_hom_general(source, target)
         assert got == HomDimension(8 + 2, True)
         assert time.monotonic() - started < 5
+        # the pieces are read in place: no subcomplex is built for them
+        assert built == []
+
+    def test_disconnected_sources_answer_as_their_pieces_built_apart(self):
+        q2 = quotient(delta(2), ["0,2"])
+        q3 = quotient(delta(3), ["0,3"])
+        sources = {}
+        for entry in corpus(seed=5, count=70) + corpus(seed=3, count=60):
+            if len(_pieces(entry.space)) > 1:
+                sources.setdefault(entry.name, entry.space)
+        assert len(sources) == 28
+        # the corpus has no piece with a directed vertex cycle; these do
+        sources["q3+pt"] = disjoint_sum(q3, delta(0))
+        sources["q2+delta1"] = disjoint_sum(q2, delta(1))
+        sources["q3+q2"] = disjoint_sum(q3, q2)
+        targets = [(x, None) for x in (delta(1), delta(2), q2, horn(2, 1), boundary_delta(2))]
+        irregular = [e.space for e in corpus(seed=3, count=40) if not is_regular(e.space)]
+        targets += [(space, cap) for space in irregular for cap in (2, 3)]
+        for name, source in sources.items():
+            for target, cap in targets:
+                got = dim_hom_general(source, target, degree_cap=cap)
+                assert got == _piecewise(source, target, cap), (name, target, cap)
+
+    def test_a_long_chain_answers_at_once(self):
+        # the vertex-cycle test closed the arrows by a fixpoint over every
+        # pair, about 1.4 s here
+        source = _chain(60)
+        started = time.monotonic()
+        assert dim_hom_general(source, delta(2)) == HomDimension(122, True)
+        assert time.monotonic() - started < 0.1
 
     def test_a_disconnected_source_under_a_cap_matches_the_slow_scan(self):
         source = disjoint_sum(delta(1), delta(0))
@@ -893,6 +974,8 @@ class TestVertexBound:
             (q3, delta(2), None, HomDimension(2, True)),
             (prodq, q2, None, HomDimension(4, True)),
             (prodq, delta(2), None, HomDimension(4, True)),
+            # two cyclic pieces, each scanned on its own layout
+            (disjoint_sum(q3, prodq), delta(2), None, HomDimension(2 + 4, True)),
             (lurie_q4, collapsed_ball(3), 2, HomDimension(2, False)),
         ]
         for source, target, cap, expected in cases:
@@ -912,6 +995,59 @@ class TestVertexBound:
         expected = _slow_top_degree(source, target, (top.dim + 1) * target.dim)
         assert expected == 2
         assert dim_hom_general(source, target) == HomDimension(expected, True)
+
+
+def _nondegenerate_counts(source, target, top):
+    """N_0, ..., N_top, the nondegenerate simplices of Hom(U, X) by degree,
+    read off the oracle's counts alone.  By Eilenberg-Zilber each
+    p-simplex is s^* x for one surjection s : [p] -> [k], of which there
+    are C(p, k), and one nondegenerate k-simplex x, so
+    |Hom_p| = sum_k C(p, k) N_k, and binomial inversion gives
+    N_k = sum_{j <= k} (-1)^(k - j) C(k, j) |Hom_j|."""
+    counts = [brute_force_hom_count(source, target, j) for j in range(top + 1)]
+    return [
+        sum((-1) ** (k - j) * math.comb(k, j) * counts[j] for j in range(k + 1))
+        for k in range(top + 1)
+    ]
+
+
+class TestInvertedCounts:
+    """Dimensions checked by a route that shares no rule with the engine:
+    the oracle's counts, inverted into nondegenerate counts."""
+
+    def test_an_exact_answer_is_the_top_degree_with_nondegenerate_simplices(self):
+        q3 = quotient(delta(3), ["0,3"])
+        cases = [
+            (boundary_delta(2), 3, [4, 6, 4, 1, 0]),
+            (horn(2, 1), 3, None),
+            (q3, 1, [2, 1, 0]),
+            (quotient(delta(1), ["0", "1"]), 1, None),
+            (disjoint_sum(delta(1), delta(0)), 3, [6, 12, 10, 3, 0]),
+            (disjoint_sum(q3, delta(0)), 2, [4, 5, 2, 0]),
+        ]
+        for source, answer, expected in cases:
+            assert dim_hom_general(source, delta(1)) == HomDimension(answer, True), source
+            counts = _nondegenerate_counts(source, delta(1), answer + 1)
+            assert counts[answer] > 0 and counts[answer + 1] == 0, (source, counts)
+            assert expected is None or counts == expected, (source, counts)
+
+    def test_a_capped_answer_is_the_top_degree_below_the_cap(self):
+        ball = collapsed_ball(2)
+        cases = [
+            (disjoint_sum(delta(0), delta(0)), 2, [1, 0, 3]),
+            (delta(1), 3, [1, 3, 9, 7]),
+        ]
+        for source, cap, expected in cases:
+            counts = _nondegenerate_counts(source, ball, cap)
+            assert counts == expected, source
+            best = max(k for k in range(cap + 1) if counts[k] > 0)
+            assert dim_hom_general(source, ball, degree_cap=cap) == HomDimension(best, False)
+
+    def test_the_assembled_complex_has_the_inverted_counts_as_cells(self):
+        skeleton, _ = hom_complex(delta(1), 1)
+        counts = _nondegenerate_counts(delta(1), delta(1), 3)
+        assert counts == [3, 3, 1, 0]
+        assert [len(skeleton.cells_of_dim(k)) for k in range(4)] == counts
 
 
 def _topological_ranks(source):
@@ -958,7 +1094,7 @@ class TestOrderedVertices:
         checked = 0
         for entry in corpus(seed=5, count=70):
             source = entry.space
-            if _has_vertex_cycle(source):
+            if _has_vertex_cycle(source, source.cells):
                 continue
             for space in (delta(2), q2):
                 family = _staircase_family(source, space)
@@ -977,13 +1113,13 @@ class TestOrderedVertices:
         q3 = quotient(delta(3), ["0,3"])
         circle = quotient(delta(1), ["0", "1"])
         for cyclic in (q2, q3, product(q2, delta(1)), product(q3, delta(1))):
-            assert _has_vertex_cycle(cyclic), cyclic
+            assert _has_vertex_cycle(cyclic, cyclic.cells), cyclic
         landmarks = {entry.name: entry.space for entry in corpus(0)}
         names = ["nerve-chain", "nerve-vee", "nerve-diamond", "nerve-fence"]
         names += ["boundary2", "boundary3", "square", "prism"]
         # the circle's one 1-cell is a loop, which adds no arrow
         for acyclic in [circle, product(circle, circle)] + [landmarks[n] for n in names]:
-            assert not _has_vertex_cycle(acyclic), acyclic
+            assert not _has_vertex_cycle(acyclic, acyclic.cells), acyclic
 
     def test_acyclic_sources_answer_the_vertex_bound_without_a_search(self):
         # each of these scanned for 0.4 s to over 30 s before

@@ -93,6 +93,7 @@ def search_digest():
             out["complex/%s/n%d" % (name, n)] = _short(legend + faces)
     for source_name, source in _family_sources(spaces).items():
         maximal = _maximal_cells(source)
+        dims, sides, seats, _ = _family_layout(source, source.cells)
         for name in ("delta1", "delta2", "q2", "boundary2"):
             for p in range(4):
                 key = "%s/%s/p%d" % (source_name, name, p)
@@ -106,8 +107,7 @@ def search_digest():
                     sum((values[source.cells.index(w)] for w in maximal), ()): values
                     for values in families
                 }
-                dims, equations, seats, _ = _family_layout(source, p)
-                pruned = _nondegenerate(targets[name], p, dims, equations, seats, True)
+                pruned = _nondegenerate(targets[name], p, dims, sides, seats, True)
                 out["pruned/" + key] = _short(by_result[z] for z in pruned)
     return out
 

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import random
 from itertools import combinations
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from simphom.simpset import (
     quotient,
     subcomplex,
     to_json_dict,
+    transitive_closure,
     union,
 )
 
@@ -379,6 +381,37 @@ class TestConstructors:
     def test_nerve_rejects_cycles(self):
         with pytest.raises(ValueError):
             nerve_poset(["a", "b"], {("a", "b"), ("b", "a")})
+
+    def test_transitive_closure_matches_the_fixpoint_reference(self):
+        cases = [[], [(0, 0)], [(0, 1), (1, 0)], [("a", "b"), ("b", "c"), ("c", "a"), ("d", "d")]]
+        rng = random.Random(24)
+        for size in range(1, 9):
+            for _ in range(30):
+                count = rng.randrange(2 * size + 1)
+                cases.append([(rng.randrange(size), rng.randrange(size)) for _ in range(count)])
+        self_pairs = cycles = 0
+        for pairs in cases:
+            closed = transitive_closure(pairs)
+            assert closed == _fixpoint_closure(pairs), pairs
+            self_pairs += any(x == y for x, y in pairs)
+            cycles += any(x == y for x, y in closed) and not any(x == y for x, y in pairs)
+        # both kinds of (v, v) in the closure are covered
+        assert self_pairs > 10 and cycles > 10
+
+
+def _fixpoint_closure(pairs):
+    """The former ``transitive_closure``, kept as the reference: it rescans
+    every pair of the relation until no pass adds one."""
+    rel = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (x, y) in list(rel):
+            for (y2, z) in list(rel):
+                if y2 == y and (x, z) not in rel:
+                    rel.add((x, z))
+                    changed = True
+    return rel
 
 
 class TestSerialisation:
