@@ -40,7 +40,7 @@ On top of the encoding this module provides:
   loudly on irregular targets;
 * dimension computation: over a regular target dim Hom(D^n, X) is
   (n + 1) * dim X, certified by the staircase in any top cell, and
-  otherwise a capped scan gives an honest lower bound;
+  otherwise the degree scan both drivers share gives a capped lower bound;
 * mapping spaces out of an arbitrary finite source, as compatible
   families over its cells: the same search fills the paths of the
   maximal cells, each face entry of the source equating pairs of paths,
@@ -635,6 +635,15 @@ def _nondegenerate(space, p, dims, sides, seats, regular):
     )
 
 
+def _top_degree(space, top, dims, sides, seats, regular):
+    """The one degree scan of both dimension drivers, over a nonempty target:
+    the largest p <= top at which :func:`_nondegenerate` yields, else 0."""
+    for p in range(top, 0, -1):
+        if next(_nondegenerate(space, p, dims, sides, seats, regular), None) is not None:
+            return p
+    return 0
+
+
 def staircase_table(n, q):
     """Vertex values of the extremal staircase of degree (n + 1) * q.
 
@@ -693,8 +702,8 @@ def dim_hom(space, n, degree_cap=None):
     that upper bound, and a degree cap, if given, is ignored.  The
     staircase in any top cell, which the answer does not build, attains
     it: none of its columns is fully degenerate, and a simplex with no
-    such column is nondegenerate.  Otherwise a degree cap is
-    required and the scan down from it gives a lower bound: gaps in the
+    such column is nondegenerate.  Otherwise a cap is required, and the
+    scan :func:`_top_degree` down from it gives a lower bound: gaps in the
     degrees of nondegenerate simplices cannot be ruled out beyond the cap.
     """
     _non_negative(n=n, degree_cap=degree_cap)
@@ -702,10 +711,7 @@ def dim_hom(space, n, degree_cap=None):
         return HomDimension(-1, True)
     if _regular_or_capped(space, degree_cap):
         return HomDimension((n + 1) * space.dim, True)
-    # the constant simplices answer degree 0 over a nonempty target
-    for p in range(degree_cap, -1, -1):
-        if next(_nondegenerate(space, p, (n,), (), (), False), None) is not None:
-            return HomDimension(p, False)
+    return HomDimension(_top_degree(space, degree_cap, (n,), (), (), False), False)
 
 
 # ---------------------------------------------------------------------------
@@ -754,36 +760,31 @@ def _family_layout(source, cells):
     maps and first-preimage sections: x_u o d_i = x_g o epi gives
     x_g = x_u o d_i o section(epi), so x_u is x_w reindexed along gamma_u,
     and ``route[u]`` is (k, gamma_u) for w the k-th maximal cell.  Each
-    face entry (i, epi, g) of u gives the side (k, gamma_u o d_i, k',
-    gamma_g o epi), kept when its two ends differ: an entry whose two
+    cell is read once, under its owner, where each face entry (i, epi, g)
+    routes g if it has no route yet and gives the side (k, gamma_u o d_i,
+    k', gamma_g o epi), kept when its two ends differ: an entry whose two
     sides reach one owner along one map equates each slot with itself.
     Each vertex sits at its first place, seen first.
     """
     maximal = [w for w in _maximal_cells(source) if w in cells]
     route = {}
-    for k, w in enumerate(maximal):
-        route[w] = (k, identity_map(w.dim))
-        # faces are smaller than their cell, so each cell has its route here
-        for u in sorted(_face_closure(source, [w]), key=lambda u: (-u.dim, u)):
-            owner, gamma = route[u]
-            for i, fs in enumerate(source.faces[u]):
-                if fs.generator not in route:
-                    step = compose_monotone(face_map(i, u.dim), _first_section(fs.epi))
-                    route[fs.generator] = (owner, compose_monotone(gamma, step))
     sides = []
-    for u in source.cells:
-        if u in route:
-            k, gamma = route[u]
-            for i, fs in enumerate(source.faces[u]):
-                kk, eta = route[fs.generator]
-                here = compose_monotone(gamma, face_map(i, u.dim))
-                there = compose_monotone(eta, fs.epi)
-                if (k, here) != (kk, there):
-                    sides.append((k, here, kk, there))
     seats = {}
     for k, w in enumerate(maximal):
         for j in range(w.dim + 1):
             seats.setdefault(source.normal_values(w, (j,))[0], (k, j))
+        # the cells w owns, each routed before it is read: faces are smaller
+        owned = sorted(_face_closure(source, [w]) - route.keys(), key=lambda u: (-u.dim, u))
+        route[w] = (k, identity_map(w.dim))
+        for u in owned:
+            for i, fs in enumerate(source.faces[u]):
+                here = compose_monotone(route[u][1], face_map(i, u.dim))
+                if fs.generator not in route:
+                    route[fs.generator] = (k, compose_monotone(here, _first_section(fs.epi)))
+                kk, eta = route[fs.generator]
+                there = compose_monotone(eta, fs.epi)
+                if (k, here) != (kk, there):
+                    sides.append((k, here, kk, there))
     return [w.dim for w in maximal], sides, list(seats.values()), route
 
 
@@ -873,8 +874,8 @@ def dim_hom_general(source, space, degree_cap=None):
     family is nondegenerate.  Hence the dimension is at least
     |U_0| * dim X, which the vertex bound below caps.  Every other
     connected U is scanned down from the cap, or over a regular target
-    from the vertex bound, on one :func:`_family_layout`, and each degree
-    stops at its first nondegenerate family.
+    from the vertex bound, by :func:`_top_degree` on one
+    :func:`_family_layout`; each degree stops at its first nondegenerate family.
 
     The column criterion: over a regular X a family is degenerate at k
     exactly when the edge at k of every vertex component x_v in X_p is.
@@ -907,11 +908,7 @@ def dim_hom_general(source, space, degree_cap=None):
             total += bound
             continue
         dims, sides, seats, _ = _family_layout(source, cells)
-        # the constant families answer degree 0 over a nonempty target
-        for p in range(bound if regular else degree_cap, -1, -1):
-            if next(_nondegenerate(space, p, dims, sides, seats, regular), None) is not None:
-                total += p
-                break
+        total += _top_degree(space, bound if regular else degree_cap, dims, sides, seats, regular)
     return HomDimension(total if regular else min(total, degree_cap), regular)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,8 @@ from simphom.hom import (
     HomSimplex,
     RegularityViolation,
     _degenerate_columns,
+    _family_layout,
+    _first_section,
     _has_vertex_cycle,
     _maximal_cells,
     _nondegenerate,
@@ -57,6 +60,7 @@ from simphom.simpset import (
     CellId,
     FormalSimplex,
     SimplicialSet,
+    _face_closure,
     boundary_delta,
     cell_simplex,
     delta,
@@ -562,6 +566,8 @@ class TestDimension:
                     if p == 0 or not is_degenerate_hom(f):
                         best = max(best, p)
             assert dim_hom(space, n, degree_cap=cap) == HomDimension(best, False), (space, n, cap)
+            got = dim_hom_general(delta(n), space, degree_cap=cap)
+            assert got == HomDimension(best, False), (space, n, cap)
 
     def test_degree_0_always_answers_under_a_zero_cap(self):
         # the constant simplices and families are nondegenerate in degree 0
@@ -666,6 +672,38 @@ def _family_targets():
     return [delta(1), delta(2), quotient(delta(2), ["0,2"])]
 
 
+def _two_pass_layout(source, cells):
+    """The former ``_family_layout``, kept as the reference: one pass over
+    each maximal cell's closure routes every cell, and a second pass over
+    ``source.cells`` builds the sides, each composed as gamma o d_i and
+    eta o epi."""
+    maximal = [w for w in _maximal_cells(source) if w in cells]
+    route = {}
+    for k, w in enumerate(maximal):
+        route[w] = (k, identity_map(w.dim))
+        for u in sorted(_face_closure(source, [w]), key=lambda u: (-u.dim, u)):
+            owner, gamma = route[u]
+            for i, fs in enumerate(source.faces[u]):
+                if fs.generator not in route:
+                    step = compose_monotone(face_map(i, u.dim), _first_section(fs.epi))
+                    route[fs.generator] = (owner, compose_monotone(gamma, step))
+    sides = []
+    for u in source.cells:
+        if u in route:
+            k, gamma = route[u]
+            for i, fs in enumerate(source.faces[u]):
+                kk, eta = route[fs.generator]
+                here = compose_monotone(gamma, face_map(i, u.dim))
+                there = compose_monotone(eta, fs.epi)
+                if (k, here) != (kk, there):
+                    sides.append((k, here, kk, there))
+    seats = {}
+    for k, w in enumerate(maximal):
+        for j in range(w.dim + 1):
+            seats.setdefault(source.normal_values(w, (j,))[0], (k, j))
+    return [w.dim for w in maximal], sides, list(seats.values()), route
+
+
 class TestGeneralSource:
     def test_point_source_recovers_target(self):
         point = delta(0)
@@ -675,8 +713,6 @@ class TestGeneralSource:
             assert len(fams) == len(space.simplices(p))
 
     def test_interval_source_matches_direct_engine(self):
-        from collections import Counter
-
         source = delta(1)
         space = delta(1)
         for p in range(3):
@@ -758,6 +794,23 @@ class TestGeneralSource:
         # the three vertex pools alone multiply out to millions of triples
         for target in (delta(2), quotient(delta(2), ["0,2"])):
             assert dim_hom_general(boundary_delta(2), target) == HomDimension(6, True)
+
+    def test_one_pass_layout_matches_the_two_pass_reference(self):
+        # the sides come in another order, which only orders each slot's checks
+        q3 = quotient(delta(3), ["0,3"])
+        prodq = product(quotient(delta(2), ["0,2"]), delta(1))
+        sources = [e.space for e in corpus(seed=5, count=70) + corpus(seed=3, count=60)]
+        sources += [source for source, _ in _family_sources()]
+        sources += [q3, prodq, product(q3, delta(1))]
+        compared = 0
+        for source in sources:
+            for cells in [set(source.cells)] + _pieces(source):
+                dims, sides, seats, route = _family_layout(source, cells)
+                ref_dims, ref_sides, ref_seats, ref_route = _two_pass_layout(source, cells)
+                assert (dims, seats, route) == (ref_dims, ref_seats, ref_route), source
+                assert Counter(sides) == Counter(ref_sides), source
+                compared += 1
+        assert compared == 322
 
     def test_source_with_more_cells_than_the_recursion_limit(self):
         # delta(10) has 2047 cells, all forced by its one maximal cell
