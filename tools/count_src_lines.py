@@ -6,12 +6,10 @@ lines.  A docstring is the first statement of a module, class or function
 when that statement is a string; all its lines are left out.  A comment
 line is one whose first non-blank character is ``#``.
 
-Run from anywhere with ``python tools/count_src_lines.py``; pass another
-package directory as the one argument to count that instead.
+Run from anywhere with ``python tools/count_src_lines.py``.
 """
 
 import ast
-import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "simphom"
@@ -49,11 +47,10 @@ def count(path):
     return len(lines), code
 
 
-def main(argv):
-    package = Path(argv[1]) if len(argv) > 1 else PACKAGE
+def main():
     total = code = 0
     print("%-16s %6s %6s" % ("module", "lines", "code"))
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         lines, kept = count(path)
         total += lines
         code += kept
@@ -62,4 +59,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    main()
