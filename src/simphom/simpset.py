@@ -7,8 +7,11 @@ the i-th face of ``c``.  Normal forms are :class:`FormalSimplex` values: a
 surjection applied to a nondegenerate cell.  Every simplex of the set is
 such a pair, and the pair is unique; the contravariant action of an
 arbitrary monotone map is computed by :meth:`SimplicialSet.apply_map`,
-which re-normalises after pushing injections through the face table one
-step at a time.  It caches nothing: it is the library's independent slow
+by epi-mono factorisation on value tuples: the injective part is pushed
+through the face table one missing value at a time, re-factoring after
+each entry, and only the normal form it returns is built as a map.  It
+caches nothing and never reads the rule or the tables of
+:meth:`SimplicialSet.face_table`: it is the library's independent slow
 reference.
 For searches, :meth:`SimplicialSet.act` gives the action of a monotone
 map on positions in the lists of simplices, as one row per map, and
@@ -45,9 +48,7 @@ from .delta import (
     MonotoneMap,
     SurjectionWord,
     collapse_map,
-    compose_monotone,
     degeneracy_map,
-    epi_mono_factor,
     face_map,
     identity_map,
     surjection_from_repeats,
@@ -190,29 +191,34 @@ class SimplicialSet:
 
         ``phi`` points INTO the degree of ``x``: for phi : [p] -> [q] and
         ``x`` of degree q the result has degree p.  The result is again a
-        normal form; degeneracies introduced or removed along the way are
-        handled by epi-mono factorisation and face-table lookups.
+        normal form, built once: the composite x.epi o phi is factored
+        through its image on value tuples, the injective part is pushed
+        through the cell's face entries one missing value at a time
+        (largest first), factoring again after each entry, and the
+        collapses compose back.  Only the returned ``MonotoneMap`` and
+        ``FormalSimplex`` are constructed, each checked by its constructor.
+        Nothing is cached, and neither :meth:`normal_values` nor the
+        tables of :meth:`face_table` and :meth:`act` are read: this is the
+        reference they are tested against.
         """
         if phi.target != x.degree:
             raise ValueError(
                 "map into [%d] cannot act on a simplex of degree %d"
                 % (phi.target, x.degree)
             )
-        epi, mono = epi_mono_factor(compose_monotone(x.epi, phi))
-        y = self._act_injective(mono, x.generator)
-        return FormalSimplex(compose_monotone(y.epi, epi), y.generator)
-
-    def _act_injective(self, mono, cell):
-        # Push an injection through the face table, one missing value at a
-        # time, re-normalising after every lookup.
-        if mono.source == cell.dim:
-            return cell_simplex(cell)
-        image = set(mono.values)
-        j = next(v for v in range(cell.dim, -1, -1) if v not in image)
-        reduced = MonotoneMap(
-            mono.source, cell.dim - 1, tuple(v if v < j else v - 1 for v in mono.values)
-        )
-        return self.apply_map(reduced, self._faces[cell][j])
+        v = x.epi.values
+        collapse, image = _factor_values(tuple(v[t] for t in phi.values))
+        cell = x.generator
+        while len(image) <= cell.dim:  # the injection misses some j
+            j = cell.dim
+            while j in image:
+                j -= 1
+            y = self._faces[cell][j]
+            e = y.epi.values
+            step, image = _factor_values(tuple(e[u if u < j else u - 1] for u in image))
+            collapse = tuple(step[c] for c in collapse)
+            cell = y.generator
+        return FormalSimplex(MonotoneMap(phi.source, cell.dim, collapse), cell)
 
     def act(self, psi):
         """The action of ``psi`` on positions, as a row indexed by position.
@@ -251,12 +257,21 @@ class SimplicialSet:
         The order is: generator cell (by dimension, then name), then the
         collapse word in ascending lexicographic order.  With ``cells``,
         only the simplices on those generators come, in the same order.
+        The collapses of one cell dimension are built once per call and
+        shared by every cell of that dimension.
         """
+        dim = None
         for c in self._cells:
             if c.dim > degree or (cells is not None and c not in cells):
                 continue
-            for repeats in combinations(range(degree), degree - c.dim):
-                yield FormalSimplex(surjection_from_repeats(degree, repeats), c)
+            if c.dim != dim:  # cells come sorted by dimension
+                dim = c.dim
+                collapses = [
+                    surjection_from_repeats(degree, repeats)
+                    for repeats in combinations(range(degree), degree - dim)
+                ]
+            for epi in collapses:
+                yield FormalSimplex(epi, c)
 
     def face_table(self, degree):
         """The faces of every simplex of a degree >= 1, as integer positions.
@@ -407,6 +422,14 @@ def _positions(space, degree, simplices):
     ``KeyError`` when one is not among them."""
     index = space._position_index(degree)
     return tuple(index[x.generator.name, x.epi.values] for x in simplices)
+
+
+def _factor_values(values):
+    """The epi-mono factorisation of a weakly increasing tuple, as tuples:
+    the rank of each value in the image, and the image in ascending order."""
+    image = sorted(set(values))
+    rank = {u: k for k, u in enumerate(image)}
+    return tuple(rank[u] for u in values), tuple(image)
 
 
 # ---------------------------------------------------------------------------

@@ -649,8 +649,18 @@ class TestAssembledComplex:
         assert skeleton.dim <= 2 and len(legend) == len(skeleton.cells)
 
 
+def _two_disc_sphere(q):
+    """S^q as Delta^q with a second q-cell on the top cell's face entries."""
+    full = delta(q)
+    top, twin = full.cells[-1], CellId(q, "twin")
+    return SimplicialSet(full.cells + (twin,), {**full.faces, twin: full.faces[top]})
+
+
 def _family_sources():
-    """Sources with their top degree: 2 for each but the boundary of D^3."""
+    """Sources with their top degree: 2 for each but the boundary of D^3
+    and the spheres.  In the spheres two vertices are collapsed, so the
+    equation of the resulting loop sits on cells that both maximal cells'
+    closures hold."""
     pt = delta(0)
     return [
         (boundary_delta(2), 2),
@@ -665,6 +675,8 @@ def _family_sources():
         (product(delta(1), delta(1)), 2),
         (SimplicialSet([], {}), 2),
         (quotient(delta(2), ["0,1", "1,2"]), 2),
+        (quotient(_two_disc_sphere(2), ["0", "1"]), 1),
+        (quotient(_two_disc_sphere(3), ["0", "1"]), 1),
     ]
 
 
@@ -810,7 +822,7 @@ class TestGeneralSource:
                 assert (dims, seats, route) == (ref_dims, ref_seats, ref_route), source
                 assert Counter(sides) == Counter(ref_sides), source
                 compared += 1
-        assert compared == 322
+        assert compared == 326
 
     def test_source_with_more_cells_than_the_recursion_limit(self):
         # delta(10) has 2047 cells, all forced by its one maximal cell

@@ -3,7 +3,7 @@
 import ast
 import math
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -14,8 +14,10 @@ import simphom.simpset
 from simphom.delta import (
     MonotoneMap,
     collapse_map,
+    compose_monotone,
     degeneracy_map,
     edge_map,
+    epi_mono_factor,
     face_map,
     identity_map,
     surjection_from_repeats,
@@ -159,13 +161,91 @@ class TestAction:
     def test_action_is_functorial(self):
         space = delta(2)
         top = cell_simplex(space.cell("0,1,2"))
-        from simphom.delta import compose_monotone
-
         f = MonotoneMap(3, 2, (0, 0, 1, 2))
         g = MonotoneMap(2, 3, (0, 2, 3))
         both = space.apply_map(compose_monotone(f, g), top)
         stepwise = space.apply_map(g, space.apply_map(f, top))
         assert both == stepwise
+
+    def test_apply_map_matches_the_epi_mono_reference_and_is_functorial(self):
+        # every simplex of degree <= 3 under every monotone map [p] -> [d]
+        # with p <= 3; functoriality over every composable pair of those maps
+        maps = {d: _maps_into(d, 3) for d in range(4)}
+        index = {d: {phi: k for k, phi in enumerate(maps[d])} for d in range(4)}
+        pairs = {
+            d: [
+                (a, g.source, b, index[d][compose_monotone(g, f)])
+                for a, g in enumerate(maps[d])
+                for b, f in enumerate(maps[g.source])
+            ]
+            for d in range(4)
+        }
+        checked = 0
+        for space in _action_spaces():
+            position = {x: k for d in range(4) for k, x in enumerate(space.simplices(d))}
+            rows = {}  # rows[d][a][z]: position of apply_map(maps[d][a], simplices(d)[z])
+            for d in range(4):
+                rows[d] = []
+                for phi in maps[d]:
+                    row = []
+                    for x in space.simplices(d):
+                        y = space.apply_map(phi, x)
+                        assert y == _epi_mono_apply_map(space, phi, x), (space, phi, x)
+                        row.append(position[y])
+                    rows[d].append(row)
+                    checked += len(row)
+            for d in range(4):
+                for a, m, b, c in pairs[d]:
+                    first, then = rows[d][a], rows[m][b]
+                    assert rows[d][c] == [then[k] for k in first], (space, d, a, b)
+        assert checked > 100_000
+
+    def test_simplices_match_the_per_cell_listing(self):
+        for space in _action_spaces():
+            for d in range(6):
+                assert space.simplices(d) == tuple(
+                    FormalSimplex(surjection_from_repeats(d, repeats), c)
+                    for c in space.cells
+                    if c.dim <= d
+                    for repeats in combinations(range(d), d - c.dim)
+                ), (space, d)
+
+    def test_apply_map_reads_none_of_the_engine_tables(self):
+        # apply_map is the reference act and face_table are tested against,
+        # so neither it nor its helper may read their rule or their tables;
+        # of the space's own state it reads only the cell face table
+        tree = ast.parse(Path(simphom.simpset.__file__).read_text(encoding="utf-8"))
+        functions = {
+            node.name: node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in ("apply_map", "_factor_values")
+        }
+        assert set(functions) == {"apply_map", "_factor_values"}
+        banned = {
+            "face_table",
+            "act",
+            "normal_values",
+            "_face_values",
+            "_drop_value",
+            "step_masks",
+            "_position_index",
+        }
+        reads = [
+            "%s:%d" % (name, node.lineno)
+            for name, function in functions.items()
+            for node in ast.walk(function)
+            if (isinstance(node, ast.Attribute) and node.attr in banned)
+            or (isinstance(node, ast.Name) and node.id in banned)
+        ]
+        assert not reads, reads
+        state = {
+            node.attr
+            for node in ast.walk(functions["apply_map"])
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        }
+        assert state == {"_faces"}, state
 
     def test_identity_action(self):
         space = delta(2)
@@ -293,6 +373,41 @@ class TestAction:
         for space in [delta(9), quotient(delta(3), ["0,3"]), square]:
             SimplicialSet(space.cells, space.faces)
         assert apply_map_calls == []
+
+
+def _epi_mono_apply_map(space, phi, x):
+    """The former ``apply_map``, kept as the reference: x.epi o phi factored
+    as validated maps, and the injective part pushed through the face table
+    one missing value at a time, re-normalising after every lookup."""
+    epi, mono = epi_mono_factor(compose_monotone(x.epi, phi))
+    cell = x.generator
+    if mono.source == cell.dim:
+        y = cell_simplex(cell)
+    else:
+        image = set(mono.values)
+        j = next(v for v in range(cell.dim, -1, -1) if v not in image)
+        reduced = MonotoneMap(
+            mono.source, cell.dim - 1, tuple(v if v < j else v - 1 for v in mono.values)
+        )
+        y = _epi_mono_apply_map(space, reduced, space.faces[cell][j])
+    return FormalSimplex(compose_monotone(y.epi, epi), y.generator)
+
+
+def _maps_into(d, top):
+    """Every monotone map [p] -> [d] with p <= top."""
+    return [
+        MonotoneMap(p, d, values)
+        for p in range(top + 1)
+        for values in combinations_with_replacement(range(d + 1), p + 1)
+    ]
+
+
+def _collapsed_ball(q):
+    return quotient(delta(q), [c.name for c in boundary_delta(q).cells_of_dim(q - 1)])
+
+
+def _action_spaces():
+    return [e.space for e in corpus(3, 40)] + [_collapsed_ball(2), quotient(delta(2), ["0,1"])]
 
 
 class TestConstructors:
@@ -497,8 +612,8 @@ class TestAct:
                 for theta in _elementary_maps(p):
                     for gamma in _elementary_maps(n):
                         maps.update(psi for _, psi in _reindex_plan(theta, gamma))
-        ball = quotient(delta(2), [c.name for c in boundary_delta(2).cells_of_dim(1)])
-        spaces = [e.space for e in corpus(3, 40)] + [ball, quotient(delta(2), ["0,2"])]
+        spaces = [e.space for e in corpus(3, 40)]
+        spaces += [_collapsed_ball(2), quotient(delta(2), ["0,2"])]
         checked = 0
         for space in spaces:
             for psi in maps:
