@@ -10,11 +10,13 @@ interior point have equal faces at that point's index.
 On top of the encoding this module provides:
 
 * exhaustive enumeration of the p-simplices for a finite target, by one
-  search on integer positions through ``simpset._backtrack``, whose
-  explicit stack grows no recursion with the number of paths.  A
+  search on integer positions through ``simpset._backtrack``, which
+  extends a chunk of prefixes by one slot per step, on an explicit stack
+  that grows no recursion with the number of paths.  A
   candidate is a position in the target's list of (p + n)-simplices,
   every constraint compares two positions after acting, each through
-  one of the target's action rows, and a result builds its target
+  one of the target's action rows, read for a whole chunk in one list
+  comprehension per check, and a result builds its target
   simplices only when ``values`` is first read.  Pruned at the first
   fully degenerate column over a regular target and filtered otherwise,
   it streams the nondegenerate results of every scan and :func:`hom_complex`;
@@ -221,25 +223,33 @@ def _search(space, p, dims, sides=(), seats=()):
     lexicographic candidate order.
 
     Every constraint is one check ``(a, r, mine)`` of a later slot: its
-    candidate z passes when ``mine[z] == r[assign[a]]``.  A unit-square
+    candidate z passes when ``mine[z] == r[x[a]]`` for the prefix x of
+    slots set so far.  A unit-square
     flip at the point i between two paths of one cell reads the row
     ``face_table(p + d)[i]`` on both sides.  A side ``(k, here, k',
     there)`` of :func:`_family_layout` pairs the reindex plans of here and
     there in degree p: the slot (k, m) read through ``act(psi)`` equals
     the slot (k', m') read through ``act(phi)``.  A pair with equal ends
     is dropped, and one that reads a single slot twice narrows that
-    slot's candidates once.  A
-    slot's first check picks one bucket of its candidates, which keeps the
-    scan near output-linear, and the others filter it; buckets keep
-    candidate order and are shared by slots with one candidate list and
-    row.
+    slot's candidates once.
+
+    The search extends a chunk of prefixes per step (``simpset._backtrack``),
+    each check one list comprehension over the chunk.  A slot's first check
+    picks one bucket of candidates per prefix, which keeps the scan near
+    output-linear; buckets keep candidate order and are shared by slots
+    with one candidate list and row.  The second check filters the
+    bucket as it is read, and the others filter the (prefix, candidate)
+    pairs left.  A prefix is copied only for the pairs that pass every
+    check and the seats below.
 
     ``seats`` places each vertex of the source as the vertex j of a cell
     k, over a regular target: a branch dies once, at some column c, every
     vertex's edge is read and degenerate.  At its seat that edge is the
     step c + j of a turning path, and the edge (s, s + 1) of (epi, x) is
     degenerate exactly when epi repeats at s, bit s of the target's
-    repeat mask (``step_masks``); :func:`dim_hom_general` proves it.
+    repeat mask (``step_masks``); :func:`dim_hom_general` proves it.  The
+    pairs whose every read edge is degenerate are found by one filter per
+    read and dropped by identity.
     """
     offsets = _cell_slots(p, dims)
     candidates = {d: range(len(space.simplices(p + d))) for d in dims}
@@ -261,37 +271,6 @@ def _search(space, p, dims, sides=(), seats=()):
             elif psi != phi:
                 r, mine = space.act(psi), space.act(phi)
                 slots[b] = [z for z in slots[b] if r[z] == mine[z]]
-    shelves = {}  # (candidates, row) -> [their buckets, once built]
-    for s, listed in enumerate(checks):
-        first = None
-        if listed:
-            a, r, mine = listed[0]
-            first = (a, r, mine, shelves.setdefault((id(slots[s]), id(mine)), [None]))
-        slots[s] = (slots[s], first, listed[1:])
-
-    def agreeing(hits, wants):
-        for z in hits:
-            for mine, want in wants:
-                if mine[z] != want:
-                    break
-            else:
-                yield z
-
-    def pool(s, assign):
-        candidates, first, rest = slots[s]
-        if first is None:
-            return candidates
-        a, r, mine, shelf = first
-        table = shelf[0]
-        if table is None:
-            table = shelf[0] = {}
-            for z in candidates:
-                table.setdefault(mine[z], []).append(z)
-        hits = table.get(r[assign[a]], ())
-        if not rest or not hits:
-            return hits
-        return agreeing(hits, [(mine, r[assign[a]]) for a, r, mine in rest])
-
     triggers = {}
     if seats and p:
         repeats = {d: space.step_masks(p + d)[0] for d in dims}
@@ -301,17 +280,57 @@ def _search(space, p, dims, sides=(), seats=()):
                 for k, j in seats
             ]
             triggers.setdefault(max(a for a, _, _ in reads), []).append(reads)
+    shelves = {}  # (candidates, row) -> [their buckets, once built]
+    for s, listed in enumerate(checks):
+        first = None
+        if listed:
+            a, r, mine = listed[0]
+            first = (a, r, mine, shelves.setdefault((id(slots[s]), id(mine)), [None]))
+        slots[s] = (slots[s], first, listed[1:], triggers.get(s, ()))
 
-    def doomed(m, assign):
-        for reads in triggers.get(m, ()):
+    def extend(s, prefixes):
+        candidates, first, rest, dooms = slots[s]
+        if first is None:
+            if not dooms:
+                return [x + (z,) for x in prefixes for z in candidates]
+            pairs = [(x, z) for x in prefixes for z in candidates]
+        else:
+            a, r, mine, shelf = first
+            table = shelf[0]
+            if table is None:
+                table = shelf[0] = {}
+                for z in candidates:
+                    table.setdefault(mine[z], []).append(z)
+            hits = table.get
+            if not rest:
+                if not dooms:
+                    return [x + (z,) for x in prefixes for z in hits(r[x[a]], ())]
+                pairs = [(x, z) for x in prefixes for z in hits(r[x[a]], ())]
+            else:  # the second check filters the bucket as it is read
+                (b, rb, mb), *more = rest
+                if not more and not dooms:
+                    return [
+                        x + (z,) for x in prefixes for z in hits(r[x[a]], ()) if mb[z] == rb[x[b]]
+                    ]
+                pairs = [
+                    (x, z) for x in prefixes for z in hits(r[x[a]], ()) if mb[z] == rb[x[b]]
+                ]
+                for a, r, mine in more:
+                    pairs = [q for q in pairs if mine[q[1]] == r[q[0][a]]]
+        for reads in dooms:
+            # the pairs whose every read edge is degenerate die, by identity
+            dead = pairs
             for a, masks, bit in reads:
-                if not masks[assign[a]] & bit:
-                    break
-            else:
-                return True
-        return False
+                if a == s:
+                    dead = [q for q in dead if masks[q[1]] & bit]
+                else:
+                    dead = [q for q in dead if masks[q[0][a]] & bit]
+            if dead:
+                dead = set(map(id, dead))
+                pairs = [q for q in pairs if id(q) not in dead]
+        return [x + (z,) for x, z in pairs]
 
-    return _backtrack(offsets[-1], pool, doomed if triggers else None)
+    return _backtrack(offsets[-1], extend)
 
 
 def _cell_slots(p, dims):

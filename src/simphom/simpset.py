@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .delta import (
     MonotoneMap,
@@ -281,19 +282,56 @@ class SimplicialSet:
         per i.  It is read off the collapse values v and the cell's face
         table: dropping position i leaves the same cell when v[i] is
         repeated on either side, and otherwise lands on the cell's v[i]-th
-        face entry, pulled back along the shifted tuple.
+        face entry, pulled back along the shifted tuple.  A face's position
+        is its cell's offset in ``simplices(degree - 1)`` plus the rank of
+        its values among the collapses that every cell of that dimension
+        shares there, in the order of :meth:`iter_simplices`.
         """
         table = self._face_tables.get(degree)
         if table is None:
             if degree < 1:
                 raise ValueError("simplices of degree %d have no faces" % (degree,))
-            position = self._position_index(degree - 1)
+            below, above = self.simplices(degree - 1), self.simplices(degree)
             columns = [[] for _ in range(degree + 1)]
-            for x in self.simplices(degree):
-                v, cell = x.epi.values, x.generator
-                for i, column in enumerate(columns):
-                    g, w = self._face_values(cell, v, i)
-                    column.append(position[g.name, w])
+            offset, rank, plans, k, n = {}, {}, {}, 0, 0
+            for c in self._cells:  # sorted by dimension: faces' cells come first
+                if c.dim > degree:
+                    break
+                if c.dim < degree:
+                    offset[c.name] = k
+                    size = comb(degree - 1, c.dim)  # the collapses onto [dim c]
+                    if c.dim not in rank:
+                        rank[c.dim] = {y.epi.values: r for r, y in enumerate(below[k:k + size])}
+                    k += size
+                size = comb(degree, c.dim)
+                plan = plans.get(c.dim)
+                if plan is None:
+                    # per shared collapse v and per i: (None, rank of w) for
+                    # a face on the same cell, else (the value j it misses,
+                    # w shifted down past j)
+                    plan = plans[c.dim] = []
+                    for x in above[n:n + size]:
+                        v, row = x.epi.values, []
+                        for i in range(degree + 1):
+                            w, j = v[:i] + v[i + 1:], v[i]
+                            if (i and v[i - 1] == j) or (i < degree and v[i + 1] == j):
+                                row.append((None, rank[c.dim][w]))
+                            else:
+                                row.append((j, tuple(u if u < j else u - 1 for u in w)))
+                        plan.append(row)
+                n += size
+                here = offset.get(c.name)
+                entries = [
+                    (offset[y.generator.name], rank[y.generator.dim], y.epi.values.__getitem__)
+                    for y in self._faces[c]
+                ]
+                for row in plan:
+                    for column, (j, w) in zip(columns, row):
+                        if j is None:
+                            column.append(here + w)
+                        else:
+                            start, ranks, pull = entries[j]
+                            column.append(start + ranks[tuple(map(pull, w))])
             table = self._face_tables[degree] = tuple(map(tuple, columns))
         return table
 
@@ -745,34 +783,37 @@ def from_json_dict(data):
 # Backtracking, and isomorphism testing (used mainly by the test-suite).
 # ---------------------------------------------------------------------------
 
-def _backtrack(size, pool, doomed=None):
-    """Yield every tuple of ``size`` slots that the pools can fill.
+_CHUNK = 256  # the most prefixes one call of ``extend`` receives
 
-    ``pool(m, assign)`` gives the candidates for slot m once slots
-    0 .. m - 1 of ``assign`` are set; ``doomed(m, assign)``, if given,
-    abandons the branch right after slot m is set.  Results come in
-    depth-first candidate order.  The search keeps one candidate iterator
-    per open slot on an explicit stack, so its depth is never bounded by
-    the interpreter's recursion limit.
+
+def _backtrack(size, extend):
+    """Yield every tuple of ``size`` slots that ``extend`` can fill.
+
+    ``extend(m, prefixes)`` takes a list of tuples of length m, the
+    settings of slots 0 .. m - 1, in depth-first order, and returns their
+    one-slot extensions as one list: the extensions of each prefix
+    together, in candidate order, and the prefixes in the order given.
+    The search extends a chunk of at most ``_CHUNK`` prefixes per step:
+    its explicit stack holds ``(m, chunk)`` pairs, and the chunks of each
+    grown list are pushed last first, so results come in depth-first
+    candidate order and the depth is never bounded by the interpreter's
+    recursion limit.  A chunk is extended in full before any of its
+    extensions is, so the first result may cost up to a chunk per slot.
     """
     if size == 0:
         yield ()
         return
-    assign = [None] * size
-    stack = [iter(pool(0, assign))]
+    stack = [(0, [()])]
     while stack:
-        m = len(stack) - 1
-        for z in stack[m]:
-            assign[m] = z
-            if doomed is not None and doomed(m, assign):
-                continue
-            if m + 1 == size:
-                yield tuple(assign)
-                continue
-            stack.append(iter(pool(m + 1, assign)))
-            break
+        m, chunk = stack.pop()
+        grown = extend(m, chunk)
+        m += 1
+        if m == size:
+            yield from grown
         else:
-            stack.pop()
+            stack.extend(
+                (m, grown[i:i + _CHUNK]) for i in reversed(range(0, len(grown), _CHUNK))
+            )
 
 
 def is_isomorphic(a, b):
@@ -797,4 +838,7 @@ def is_isomorphic(a, b):
         taken = assign[dims.index(x.dim):k]
         return [y for y in by_faces.get(want, ()) if y not in taken]
 
-    return next(_backtrack(len(dims), pool), None) is not None
+    def extend(k, prefixes):
+        return [assign + (y,) for assign in prefixes for y in pool(k, assign)]
+
+    return next(_backtrack(len(dims), extend), None) is not None

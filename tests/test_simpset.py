@@ -3,7 +3,7 @@
 import ast
 import math
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product as tuples
 from pathlib import Path
 
 import pytest
@@ -26,6 +26,8 @@ from simphom.exhibits import corpus
 from simphom.hom import _reindex_plan
 from simphom.oracle import count_monotone_lattice_maps
 from simphom.simpset import (
+    _CHUNK,
+    _backtrack,
     CellId,
     FormalSimplex,
     SimplicialSet,
@@ -542,6 +544,53 @@ class TestSerialisation:
 
         blob = json.dumps(to_json_dict(horn(2, 0)))
         assert from_json_dict(json.loads(blob)).dim == 1
+
+
+class TestBacktrack:
+    """The core's contract, on synthetic slots: results are the tuples the
+    extensions allow, in lexicographic candidate order, however the levels
+    are cut into chunks."""
+
+    def test_results_follow_the_filtered_product_in_order(self):
+        size, values = 7, range(5)
+
+        def fits(prefix, z):
+            # read earlier slots, near and far, so every level filters
+            m = len(prefix)
+            return m < 2 or (z + prefix[m - 2]) % 3 != 0 or z == prefix[m // 2]
+
+        grown = [0] * size
+
+        def extend(m, prefixes):
+            assert 0 < len(prefixes) <= _CHUNK
+            assert all(len(x) == m for x in prefixes)
+            out = [x + (z,) for x in prefixes for z in values if fits(x, z)]
+            grown[m] += len(out)
+            return out
+
+        expected = [
+            t for t in tuples(values, repeat=size) if all(fits(t[:m], t[m]) for m in range(size))
+        ]
+        assert list(_backtrack(size, extend)) == expected
+        assert len(expected) == grown[-1] > 0
+        assert max(grown[:-1]) > 4 * _CHUNK  # several chunks on one level
+
+    def test_no_slot_yields_the_empty_tuple_once(self):
+        def extend(m, prefixes):
+            raise AssertionError("no slot to extend")
+
+        assert list(_backtrack(0, extend)) == [()]
+
+    def test_a_dead_level_ends_the_search(self):
+        def extend(m, prefixes):
+            return [] if m == 1 else [x + (0,) for x in prefixes]
+
+        assert list(_backtrack(3, extend)) == []
+
+    def test_a_chain_longer_than_the_recursion_limit(self):
+        size = 5000
+        chain = list(_backtrack(size, lambda m, prefixes: [x + (m,) for x in prefixes]))
+        assert chain == [tuple(range(size))]
 
 
 class TestIsomorphism:
