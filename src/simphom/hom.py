@@ -16,10 +16,13 @@ On top of the encoding this module provides:
   candidate is a position in the target's list of (p + n)-simplices,
   every constraint compares two positions after acting, each through
   one of the target's action rows, read for a whole chunk in one list
-  comprehension per check, and a result builds its target
-  simplices only when ``values`` is first read.  Pruned at the first
-  fully degenerate column over a regular target and filtered otherwise,
-  it streams the nondegenerate results of every scan and :func:`hom_complex`;
+  comprehension per check.  Each result is one :class:`HomSimplex` made
+  by :func:`_hom_at` straight from the search's tuple of positions,
+  unchecked, and builds its target simplices only when ``values`` is
+  first read; the public constructor takes values and checks them.
+  Pruned at the first fully degenerate column over a regular target and
+  filtered otherwise, it streams the nondegenerate results of every scan
+  and :func:`hom_complex`;
 * the simplicial structure (faces, degeneracies, reindexing along any
   monotone map, in both grid directions), each reindex following a plan
   worked out once per shape: for every small path, the index of its
@@ -67,7 +70,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
+from math import comb
 
 from .delta import (
     MonotoneMap,
@@ -104,52 +108,55 @@ class RegularityViolation(Exception):
         self.offender = offender
 
 
-class _Positions(tuple):
-    """The values of a :class:`HomSimplex` given as positions in the
-    target's list of (width + height)-simplices."""
-
-
 class HomSimplex:
     """A p-simplex of Hom(D^height, X): one target simplex per lattice path.
 
     ``values`` is aligned with ``all_paths(width, height)``, and
     ``positions`` holds the same simplices as positions in
-    ``space.simplices(width + height)``.  Each is derived from the other on
-    first read: the search and the reindexes hand over positions and build
-    no simplex, the public constructor takes values.  Equality and hash
-    read ``(space, width, height, positions)``, which is equivalent to
-    comparing values.
+    ``space.simplices(width + height)``.  The public constructor takes
+    values and checks them: a negative width or height, a value count
+    other than the number of paths, a value that is not a
+    :class:`~simphom.simpset.FormalSimplex` of degree width + height or
+    is not a simplex of the target raises ``ValueError``.  The search and
+    the reindexes build through :func:`_hom_at` from positions they
+    trust, and the values are built from the positions on first read.
+    Equality and hash read ``(space, width, height, positions)``, which
+    is equivalent to comparing values.
     """
 
-    __slots__ = ("space", "width", "height", "_values", "_positions")
+    __slots__ = ("space", "width", "height", "positions", "_values")
 
     def __init__(self, space, width, height, values):
+        values = tuple(values)
+        if width < 0 or height < 0:
+            raise ValueError("width and height must be non-negative, got %d, %d" % (width, height))
+        degree = width + height
+        if len(values) != comb(degree, height):
+            raise ValueError(
+                "a (%d, %d) grid has %d paths, got %d values"
+                % (width, height, comb(degree, height), len(values))
+            )
+        if not all(isinstance(x, FormalSimplex) and x.degree == degree for x in values):
+            raise ValueError("every value must be a simplex of degree %d" % (degree,))
+        try:
+            self.positions = _positions(space, degree, values)
+        except KeyError:
+            raise ValueError(
+                "the values are not all simplices of degree %d of the target" % (degree,)
+            ) from None
         self.space = space
         self.width = width
         self.height = height
-        if isinstance(values, _Positions):
-            self._values, self._positions = None, values
-        else:
-            self._values, self._positions = tuple(values), None
+        self._values = values
 
     @property
     def values(self):
-        if self._values is None:
+        try:
+            return self._values
+        except AttributeError:  # built from positions, not yet read
             simplices = self.space.simplices(self.width + self.height)
-            self._values = tuple(simplices[z] for z in self._positions)
-        return self._values
-
-    @property
-    def positions(self):
-        if self._positions is None:
-            degree = self.width + self.height
-            try:
-                self._positions = _positions(self.space, degree, self._values)
-            except KeyError:
-                raise ValueError(
-                    "the values are not all simplices of degree %d of the target" % (degree,)
-                ) from None
-        return self._positions
+            self._values = tuple(simplices[z] for z in self.positions)
+            return self._values
 
     def __eq__(self, other):
         if not isinstance(other, HomSimplex):
@@ -175,6 +182,15 @@ class HomSimplex:
         return "HomSimplex(p=%d, n=%d over %r)" % (self.width, self.height, self.space)
 
 
+def _hom_at(space, width, height, positions):
+    """The :class:`HomSimplex` at a tuple of positions in
+    ``space.simplices(width + height)``, unchecked; its values are built
+    on first read."""
+    f = object.__new__(HomSimplex)
+    f.space, f.width, f.height, f.positions = space, width, height, positions
+    return f
+
+
 def hom_simplex(space, width, height, assignment):
     """Build a HomSimplex from a path -> simplex mapping and check it."""
     lookup = {}
@@ -184,16 +200,7 @@ def hom_simplex(space, width, height, assignment):
     paths = all_paths(width, height)
     if set(lookup) != {p.word for p in paths}:
         raise ValueError("assignment must cover every maximal path exactly once")
-    values = []
-    for p in paths:
-        fs = lookup[p.word]
-        if fs.degree != width + height:
-            raise ValueError(
-                "path %r carries a simplex of degree %d, expected %d"
-                % (p.word, fs.degree, width + height)
-            )
-        values.append(fs)
-    f = HomSimplex(space, width, height, tuple(values))
+    f = HomSimplex(space, width, height, [lookup[p.word] for p in paths])
     validate_hom_simplex(f)
     return f
 
@@ -353,8 +360,7 @@ def iter_hom_simplices(space, n, p):
     paths.  A negative n or p raises ``ValueError`` when the stream starts.
     """
     _non_negative(n=n, p=p)
-    for positions in _search(space, p, (n,)):
-        yield HomSimplex(space, p, n, _Positions(positions))
+    yield from map(_hom_at, repeat(space), repeat(p), repeat(n), _search(space, p, (n,)))
 
 
 def enumerate_hom_simplices(space, n, p):
@@ -415,8 +421,8 @@ def hom_bireindex(f, theta, gamma):
         raise ValueError("reindexing maps do not match the simplex shape")
     positions = f.positions
     plan = _plan_rows(f.space, _reindex_plan(theta, gamma))
-    return HomSimplex(
-        f.space, theta.source, gamma.source, _Positions(row[positions[i]] for i, row in plan)
+    return _hom_at(
+        f.space, theta.source, gamma.source, tuple(row[positions[i]] for i, row in plan)
     )
 
 
@@ -686,7 +692,7 @@ def _written_simplex(space, cell, p, n, chain):
     vertex values at the path's points gives a compatible family."""
     (z,) = _positions(space, cell.dim, [cell_simplex(cell)])
     maps = (MonotoneMap(p + n, cell.dim, chain(path)) for path in all_paths(p, n))
-    return HomSimplex(space, p, n, _Positions(space.act(psi)[z] for psi in maps))
+    return _hom_at(space, p, n, tuple(space.act(psi)[z] for psi in maps))
 
 
 def _staircase_witness(space, cell, n):
@@ -834,7 +840,7 @@ def iter_hom_families(source, space, p):
             z = positions[start:end]
             f = known.get(z)
             if f is None:
-                f = known[z] = HomSimplex(space, p, d, _Positions([row[z[i]] for i, row in plan]))
+                f = known[z] = _hom_at(space, p, d, tuple([row[z[i]] for i, row in plan]))
             family.append(f)
         yield HomFamily(source, space, p, source.cells, tuple(family))
 
@@ -965,7 +971,7 @@ def hom_complex(space, n, degree_cap=None):
         cells = {}
         for i, z in enumerate(found):
             c = cells[z] = CellId(p, "h%d#%d" % (p, i))
-            legend[c] = HomSimplex(space, p, n, _Positions(z))
+            legend[c] = _hom_at(space, p, n, z)
         cell_of.append(cells)
         if not p:
             continue
@@ -978,7 +984,7 @@ def hom_complex(space, n, degree_cap=None):
                 entry = entries.get(face)
                 if entry is None:
                     if _shared_columns(space, p - 1, [(n, face)]):
-                        eps, core = normalize_hom(HomSimplex(space, p - 1, n, _Positions(face)))
+                        eps, core = normalize_hom(_hom_at(space, p - 1, n, face))
                         entry = FormalSimplex(eps, cell_of[eps.target][core.positions])
                     else:
                         entry = FormalSimplex(identity_map(p - 1), cell_of[p - 1][face])

@@ -96,6 +96,54 @@ class TestConstruction:
         assert HomSimplex(space, 1, 1, f.values) == f
         assert HomSimplex(delta(1), 1, 1, f.values) != f  # another target
 
+    def test_the_public_constructor_rejects_a_wrong_value_count(self):
+        space = delta(2)
+        f = enumerate_hom_simplices(space, 1, 2)[0]
+        with pytest.raises(ValueError, match="grid has 3 paths, got 1 values"):
+            HomSimplex(space, 2, 1, f.values[:1])
+        with pytest.raises(ValueError, match="grid has 3 paths, got 4 values"):
+            HomSimplex(space, 2, 1, f.values + f.values[:1])
+
+    def test_the_public_constructor_rejects_a_negative_width_or_height(self):
+        space = delta(1)
+        with pytest.raises(ValueError, match="must be non-negative, got -1, 1"):
+            HomSimplex(space, -1, 1, ())
+        with pytest.raises(ValueError, match="must be non-negative, got 1, -1"):
+            HomSimplex(space, 1, -1, ())
+
+    def test_the_public_constructor_rejects_values_that_are_not_simplices_of_its_degree(self):
+        space = delta(1)
+        with pytest.raises(ValueError, match="simplex of degree 2"):
+            HomSimplex(space, 1, 1, (0, 1))
+        edge = cell_simplex(space.cell("0,1"))
+        with pytest.raises(ValueError, match="simplex of degree 2"):
+            HomSimplex(space, 1, 1, (edge, edge))  # degree 1 values
+        other = enumerate_hom_simplices(delta(2), 1, 1)[-1]
+        with pytest.raises(ValueError, match="not all simplices of degree 2 of the target"):
+            HomSimplex(space, 1, 1, other.values)
+
+    def test_search_results_are_built_from_positions(self):
+        # enumeration, family components and hom_complex legends all hand
+        # over a plain tuple of positions and build no value until read
+        space = quotient(delta(2), ["0,2"])
+        source = horn(2, 1)
+        built = [
+            *enumerate_hom_simplices(space, 1, 2),
+            *(f for family in hom_general(source, space, 1) for f in family.values),
+            *hom_complex(delta(2), 1)[1].values(),
+        ]
+        assert len(built) > 50
+        for f in built:
+            assert type(f) is HomSimplex
+            assert type(f.positions) is tuple
+            with pytest.raises(AttributeError):
+                f._values
+        for f in built:
+            g = HomSimplex(f.space, f.width, f.height, f.values)
+            assert f._values is f.values
+            assert g == f and hash(g) == hash(f)
+            assert g.positions == f.positions
+
     def test_vertex_of_mapping_space_is_target_simplex(self):
         space = delta(1)
         for f in enumerate_hom_simplices(space, 1, 0):

@@ -240,3 +240,17 @@ class TestAgreement:
             engine = len(enumerate_hom_simplices(space, n, p))
             brute = brute_force_hom_count(delta(n), space, p)
             assert engine == brute
+
+    def test_three_dimensional_source_over_the_small_landmarks(self):
+        # n = 3 is the first height where a one-cell slot carries three or
+        # more flip checks, so the checks after a slot's second are read
+        checked = 0
+        for entry in corpus():
+            if len(entry.space.cells) > 12:
+                continue
+            for p in (0, 1):
+                engine = len(enumerate_hom_simplices(entry.space, 3, p))
+                brute = brute_force_hom_count(delta(3), entry.space, p)
+                assert engine == brute, (entry.name, p, engine, brute)
+                checked += 1
+        assert checked >= 20

@@ -58,6 +58,18 @@ MUTANTS = {
         "                ) < 2:",
         "the family layout drops the sides of every cell that two maximal cells' closures hold",
     ),
+    "later-checks-dropped": (
+        "hom.py",
+        "for a, r, mine in more:",
+        "for a, r, mine in more[:0]:",
+        "the search reads only the first two checks of each slot",
+    ),
+    "hom-at-shape-swapped": (
+        "hom.py",
+        "map(_hom_at, repeat(space), repeat(p), repeat(n), _search(space, p, (n,)))",
+        "map(_hom_at, repeat(space), repeat(n), repeat(p), _search(space, p, (n,)))",
+        "enumeration builds its simplices with width and height swapped",
+    ),
 }
 
 
