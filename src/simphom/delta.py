@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 
 @dataclass(frozen=True, order=True)
@@ -194,11 +193,7 @@ def surjection_to_word(f):
 
 def word_to_surjection(word):
     """Decode a SurjectionWord back into the surjection it names."""
-    collapsed = set(word.indices)
-    values = [0]
-    for i in range(word.source):
-        values.append(values[-1] if i in collapsed else values[-1] + 1)
-    return MonotoneMap(word.source, word.target, tuple(values))
+    return surjection_from_repeats(word.source, word.indices)
 
 
 def surjection_from_repeats(p, repeats):
@@ -209,5 +204,7 @@ def surjection_from_repeats(p, repeats):
     target p - len(repeats) and raises ``ValueError``.
     """
     collapsed = set(repeats)
-    steps = (i not in collapsed for i in range(p))
-    return MonotoneMap(p, p - len(repeats), tuple(accumulate(steps, initial=0)))
+    values = [0]
+    for i in range(p):
+        values.append(values[-1] if i in collapsed else values[-1] + 1)
+    return MonotoneMap(p, p - len(repeats), tuple(values))

@@ -512,15 +512,6 @@ def _path_runs(p, n):
     return tuple(table)
 
 
-def _path_columns(r, runs):
-    """The step mask r read on one path's runs: for k < p, bit k is bit s_k
-    of r."""
-    columns = -1
-    for shift, keep in runs:
-        columns &= r >> shift | keep
-    return columns
-
-
 def _degenerate_columns(f):
     """The columns k at which f is the k-th degeneracy of some simplex, as
     a bitmask: bit k is set when column k qualifies.
@@ -617,8 +608,8 @@ def lemma4_witness(space, f, k):
         raise ValueError("column %d of the simplex is not entirely degenerate" % (k,))
     p, n = f.width, f.height
     repeats = space.step_masks(p + n)[0]
-    for m, (z, runs) in enumerate(zip(f.positions, _path_runs(p, n))):
-        if not _path_columns(repeats[z], runs) >> k & 1:
+    for m, (z, steps) in enumerate(zip(f.positions, combinations(range(p + n), p))):
+        if not repeats[z] >> steps[k] & 1:
             raise RegularityViolation(
                 "degenerate column %d does not split off a degeneracy on path %r; "
                 "the target is not regular" % (k, all_paths(p, n)[m].word),
@@ -693,23 +684,6 @@ def _written_simplex(space, cell, p, n, chain):
     (z,) = _positions(space, cell.dim, [cell_simplex(cell)])
     maps = (MonotoneMap(p + n, cell.dim, chain(path)) for path in all_paths(p, n))
     return _hom_at(space, p, n, tuple(space.act(psi)[z] for psi in maps))
-
-
-def _staircase_witness(space, cell, n):
-    """The staircase of :func:`staircase_table`, written into ``cell``.
-
-    Consecutive columns differ at one level, where the step climbs an
-    elementary edge (a, a + 1) of the cell; over a regular target that
-    edge is nondegenerate, so no column of the result is fully degenerate.
-    """
-    p = (n + 1) * cell.dim
-    table = staircase_table(n, cell.dim)
-    f = _written_simplex(
-        space, cell, p, n, lambda path: tuple(table[i][j] for i, j in path.points())
-    )
-    if any(almost_degenerate_at(f, k) for k in range(p)):
-        raise AssertionError("staircase witness has a fully degenerate column")
-    return f
 
 
 def _regular_or_capped(space, degree_cap):
@@ -954,9 +928,9 @@ def hom_complex(space, n, degree_cap=None):
 
     The face entries are built on positions, degree by degree.  The p + 1
     face plans of a degree are read once, as rows of the target, and each
-    distinct face is normalised once into the entry
-    ``normalize_hom(hom_face(f, i))`` would give: a face with no degenerate
-    column is its own cell, and any other goes through :func:`normalize_hom`.
+    distinct face is normalised once by :func:`normalize_hom`, into the
+    entry ``normalize_hom(hom_face(f, i))`` would give (a face with no
+    degenerate column is its own cell).
     """
     _non_negative(n=n, degree_cap=degree_cap)
     regular = _regular_or_capped(space, degree_cap)
@@ -983,12 +957,8 @@ def hom_complex(space, n, degree_cap=None):
                 face = tuple(row[z[i]] for i, row in plan)
                 entry = entries.get(face)
                 if entry is None:
-                    if _shared_columns(space, p - 1, [(n, face)]):
-                        eps, core = normalize_hom(_hom_at(space, p - 1, n, face))
-                        entry = FormalSimplex(eps, cell_of[eps.target][core.positions])
-                    else:
-                        entry = FormalSimplex(identity_map(p - 1), cell_of[p - 1][face])
-                    entries[face] = entry
+                    eps, core = normalize_hom(_hom_at(space, p - 1, n, face))
+                    entry = entries[face] = FormalSimplex(eps, cell_of[eps.target][core.positions])
                 row_entries.append(entry)
             faces[c] = tuple(row_entries)
     return SimplicialSet(legend, faces), legend

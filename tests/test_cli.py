@@ -359,6 +359,48 @@ class TestMain:
         assert code == 2
         assert captured.err.startswith("cannot read script: ")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("homdim A", "line 1, column 9: expected 'target'"),
+            ("homdim A to B", "line 1, column 10: expected 'target', got 'to'"),
+            ("set A = nerve a<b", "line 1, column 9: nerve needs a braced relation block"),
+            ("set A = foo 1", "line 1, column 9: unknown constructor 'foo'"),
+            ("check Q A", "line 1, column 7: unknown property 'Q'"),
+            ("example foo", "line 1, column 9: unknown example 'foo'"),
+            (
+                "set A = delta 2\nset S = sub A by 0 1; x y",
+                "line 2, column 18: cell 'x y' is neither a vertex list nor a single cell name",
+            ),
+        ],
+    )
+    def test_parse_error_message(self, tmp_path, capsys, text, message):
+        code = main([self.write(tmp_path, text + "\n")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "parse error: %s\n" % (message,)
+
+    def test_a_raw_cell_name_in_a_cell_list(self, tmp_path, capsys):
+        path = self.write(tmp_path, "set A = delta 2\nset S = sub A by 0,1\ndump S\n")
+        code = main([path])
+        (line,) = capsys.readouterr().out.splitlines()
+        assert code == 0
+        cells = json.loads(line)["value"]["cells"]
+        assert [c["id"] for c in cells] == ["0", "1", "0,1"]
+
+    def test_pretty_error_line(self, tmp_path, capsys):
+        path = self.write(
+            tmp_path, "set A = delta 2\nset B = quotient A by 0 1; 0 2; 1 2\nhomdim A target B\n"
+        )
+        code = main([path, "--pretty"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert out[0].startswith("== homdim ")
+        assert out[1:] == [
+            "   error: the target is not regular: an explicit degree cap is needed"
+        ]
+
     def test_missing_file(self, capsys):
         code = main(["/nonexistent/script.txt"])
         assert code == 2

@@ -70,6 +70,20 @@ MUTANTS = {
         "map(_hom_at, repeat(space), repeat(n), repeat(p), _search(space, p, (n,)))",
         "enumeration builds its simplices with width and height swapped",
     ),
+    "witness-step-shifted": (
+        "hom.py",
+        "if not repeats[z] >> steps[k] & 1:",
+        "if not repeats[z] >> steps[k] + 1 & 1:",
+        "the witness of a degenerate column reads each path's repeat one step late",
+    ),
+    "complex-collapse-dropped": (
+        "hom.py",
+        "entry = entries[face] = FormalSimplex(eps, cell_of[eps.target][core.positions])",
+        "entry = entries[face] = FormalSimplex(\n"
+        "                        identity_map(p - 1), cell_of[eps.target][core.positions]\n"
+        "                    )",
+        "hom_complex writes every face entry with an identity collapse",
+    ),
 }
 
 
