@@ -102,19 +102,13 @@ class _Cursor:
         self.lineno = lineno
         self.pos = 0
 
-    def error(self, message, at=None):
-        if at is None:
-            if self.pos < len(self.tokens):
-                at = self.tokens[self.pos][1]
-            elif self.tokens:
-                at = self.tokens[-1][1] + len(self.tokens[-1][0])
-            else:
-                at = 1
+    def error(self, message, at):
         raise ScriptError(message, self.lineno, at)
 
     def next(self, what):
-        if self.pos >= len(self.tokens):
-            self.error("expected %s" % (what,))
+        if self.pos >= len(self.tokens):  # a parsed line has a token
+            last, col = self.tokens[-1]
+            self.error("expected %s" % (what,), at=col + len(last))
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok

@@ -91,6 +91,7 @@ from .simpset import (
     _backtrack,
     _face_closure,
     _positions,
+    _simplex_count,
     cell_simplex,
     transitive_closure,
 )
@@ -259,7 +260,7 @@ def _search(space, p, dims, sides=(), seats=()):
     read and dropped by identity.
     """
     offsets = _cell_slots(p, dims)
-    candidates = {d: range(len(space.simplices(p + d))) for d in dims}
+    candidates = {d: range(_simplex_count(space, p + d)) for d in dims}
     slots = [candidates[d] for d in dims for _ in all_paths(p, d)]
     checks = [[] for _ in slots]
     for k, d in enumerate(dims):

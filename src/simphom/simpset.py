@@ -31,18 +31,32 @@ concurrent reads.
 Each instance owns five caches, touched only by this module and dropped
 with it: ``_simplex_cache``, ``_face_tables``, ``_step_masks`` (the
 repeat and degenerate-edge bitmasks of :meth:`SimplicialSet.step_masks`)
-and ``_position_indexes`` (generator name and collapse values to
-position) hold one entry per degree asked for, and ``_act_rows`` the row
+and ``_cell_offsets`` (the position of each cell's first simplex, one int
+per cell) hold one entry per degree asked for, and ``_act_rows`` the row
 of each map that :meth:`SimplicialSet.act` was asked for, a ``dict`` of
 the entries read.  The maps and degrees in use bound them, but nothing
-caps them.
+caps them.  Only :meth:`SimplicialSet.simplices` fills
+``_simplex_cache``, for callers that read simplices: the tables of
+:meth:`SimplicialSet.face_table`, :meth:`SimplicialSet.step_masks` and
+:meth:`SimplicialSet.act` list none.
+
+What depends only on a shape, a degree and a cell dimension, is kept in
+four process-wide ``lru_cache`` tables shared by every instance: the
+collapses of the shape in canonical order with their value tuples
+(:func:`_collapses`), the rank of each (:func:`_collapse_ranks`), the
+face plan of ``face_table`` (:func:`_face_plan`), and the repeat masks
+with the edge masks for each mask of degenerate elementary edges
+(:func:`_shape_masks`).  Each keeps at most ``_SHAPES`` = 64 shapes; one
+pass of a benchmark workload takes at most 49 per table, so a pass evicts
+none.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from .delta import (
@@ -151,7 +165,7 @@ class SimplicialSet:
         self._simplex_cache = {}
         self._face_tables = {}
         self._step_masks = {}
-        self._position_indexes = {}
+        self._cell_offsets = {}
         self._act_rows = {}
         self._check_simplicial_identities()
 
@@ -246,10 +260,17 @@ class SimplicialSet:
 
     def simplices(self, degree):
         """All simplices of a given degree, in the canonical order of
-        :meth:`iter_simplices`, kept per degree."""
+        :meth:`iter_simplices`, kept per degree.  The collapses of a shape
+        (degree, cell dimension) come from the process-wide table
+        :func:`_collapses`, shared by every cell of that dimension."""
         cached = self._simplex_cache.get(degree)
         if cached is None:
-            cached = self._simplex_cache[degree] = tuple(self.iter_simplices(degree))
+            cached = self._simplex_cache[degree] = tuple(
+                FormalSimplex(epi, c)
+                for c in self._cells
+                if c.dim <= degree
+                for epi in _collapses(degree, c.dim)[0]
+            )
         return cached
 
     def iter_simplices(self, degree, cells=None):
@@ -258,21 +279,15 @@ class SimplicialSet:
         The order is: generator cell (by dimension, then name), then the
         collapse word in ascending lexicographic order.  With ``cells``,
         only the simplices on those generators come, in the same order.
-        The collapses of one cell dimension are built once per call and
-        shared by every cell of that dimension.
+        Each collapse is built as it is read, so a stream that stops early
+        builds no more, and no shape table is filled.
         """
-        dim = None
         for c in self._cells:
-            if c.dim > degree or (cells is not None and c not in cells):
-                continue
-            if c.dim != dim:  # cells come sorted by dimension
-                dim = c.dim
-                collapses = [
-                    surjection_from_repeats(degree, repeats)
-                    for repeats in combinations(range(degree), degree - dim)
-                ]
-            for epi in collapses:
-                yield FormalSimplex(epi, c)
+            if c.dim > degree:  # cells come sorted by dimension
+                break
+            if cells is None or c in cells:
+                for v in _collapse_values(degree, c.dim):
+                    yield FormalSimplex(MonotoneMap(degree, c.dim, v), c)
 
     def face_table(self, degree):
         """The faces of every simplex of a degree >= 1, as integer positions.
@@ -282,56 +297,37 @@ class SimplicialSet:
         per i.  It is read off the collapse values v and the cell's face
         table: dropping position i leaves the same cell when v[i] is
         repeated on either side, and otherwise lands on the cell's v[i]-th
-        face entry, pulled back along the shifted tuple.  A face's position
-        is its cell's offset in ``simplices(degree - 1)`` plus the rank of
-        its values among the collapses that every cell of that dimension
-        shares there, in the order of :meth:`iter_simplices`.
+        face entry, pulled back along the shifted tuple.  Which of the two,
+        and the rank of the values left, depend only on the shape (degree,
+        cell dimension), in :func:`_face_plan`; the target adds each
+        cell's offset in ``simplices(degree - 1)`` and its face entries.
+        No simplex is listed.
         """
         table = self._face_tables.get(degree)
         if table is None:
             if degree < 1:
                 raise ValueError("simplices of degree %d have no faces" % (degree,))
-            below, above = self.simplices(degree - 1), self.simplices(degree)
+            offsets = self._offsets(degree - 1)
             columns = [[] for _ in range(degree + 1)]
-            offset, rank, plans, k, n = {}, {}, {}, 0, 0
-            for c in self._cells:  # sorted by dimension: faces' cells come first
-                if c.dim > degree:
+            for c in self._cells:
+                if c.dim > degree:  # cells come sorted by dimension
                     break
-                if c.dim < degree:
-                    offset[c.name] = k
-                    size = comb(degree - 1, c.dim)  # the collapses onto [dim c]
-                    if c.dim not in rank:
-                        rank[c.dim] = {y.epi.values: r for r, y in enumerate(below[k:k + size])}
-                    k += size
-                size = comb(degree, c.dim)
-                plan = plans.get(c.dim)
-                if plan is None:
-                    # per shared collapse v and per i: (None, rank of w) for
-                    # a face on the same cell, else (the value j it misses,
-                    # w shifted down past j)
-                    plan = plans[c.dim] = []
-                    for x in above[n:n + size]:
-                        v, row = x.epi.values, []
-                        for i in range(degree + 1):
-                            w, j = v[:i] + v[i + 1:], v[i]
-                            if (i and v[i - 1] == j) or (i < degree and v[i + 1] == j):
-                                row.append((None, rank[c.dim][w]))
-                            else:
-                                row.append((j, tuple(u if u < j else u - 1 for u in w)))
-                        plan.append(row)
-                n += size
-                here = offset.get(c.name)
-                entries = [
-                    (offset[y.generator.name], rank[y.generator.dim], y.epi.values.__getitem__)
-                    for y in self._faces[c]
-                ]
-                for row in plan:
-                    for column, (j, w) in zip(columns, row):
-                        if j is None:
-                            column.append(here + w)
-                        else:
-                            start, ranks, pull = entries[j]
-                            column.append(start + ranks[tuple(map(pull, w))])
+                # targets[0] reads a face on c, targets[j + 1] one moved onto
+                # the j-th face entry, by the rank of the values left
+                here = offsets.get(c.name)
+                targets = [() if here is None else range(here, here + comb(degree - 1, c.dim))]
+                for y in self._faces[c]:
+                    start = offsets[y.generator.name]
+                    if y.epi.is_identity:
+                        targets.append(range(start, start + comb(degree - 1, c.dim - 1)))
+                    else:
+                        e, ranks = y.epi.values, _collapse_ranks(degree - 1, y.generator.dim)
+                        targets.append([
+                            start + ranks[tuple([e[u] for u in w])]
+                            for w in _collapses(degree - 1, c.dim - 1)[1]
+                        ])
+                for column, plan in zip(columns, _face_plan(degree, c.dim)):
+                    column += [targets[k][r] for k, r in plan]
             table = self._face_tables[degree] = tuple(map(tuple, columns))
         return table
 
@@ -343,41 +339,37 @@ class SimplicialSet:
         collapse values v of the z-th simplex repeat at s, v[s] == v[s + 1];
         bit s of ``edges[z]`` when its edge (s, s + 1) is degenerate: v
         repeats at s, or the cell's elementary edge (v[s], v[s] + 1) is
-        degenerate by :meth:`normal_values`.  Kept per degree.
+        degenerate by :meth:`normal_values`.  The masks of a cell are those
+        of its shape, :func:`_shape_masks`, read for its degenerate
+        elementary edges.  Kept per degree; no simplex is listed.
         """
         masks = self._step_masks.get(degree)
         if masks is None:
             repeats, edges = [], []
-            cell = None
-            for x in self.simplices(degree):
-                v = x.epi.values
-                if x.generator is not cell:  # simplices come grouped by cell
-                    cell = x.generator
-                    bad = sum(
-                        1 << a
-                        for a in range(cell.dim)
-                        if self.normal_values(cell, (a, a + 1))[0].dim == 0
-                    )
-                r = e = 0
-                for s in range(degree):
-                    if v[s] == v[s + 1]:
-                        r |= 1 << s
-                    elif bad >> v[s] & 1:
-                        e |= 1 << s
-                repeats.append(r)
-                edges.append(r | e)
+            for c in self._cells:
+                if c.dim > degree:  # cells come sorted by dimension
+                    break
+                bad = sum(
+                    1 << a for a in range(c.dim) if self.normal_values(c, (a, a + 1))[0].dim == 0
+                )
+                repeats += _shape_masks(degree, c.dim)[0]
+                edges += _edge_masks(degree, c.dim, bad)
             masks = self._step_masks[degree] = (tuple(repeats), tuple(edges))
         return masks
 
-    def _position_index(self, degree):
-        # (generator name, collapse values) -> position in simplices(degree)
-        index = self._position_indexes.get(degree)
-        if index is None:
-            index = self._position_indexes[degree] = {
-                (x.generator.name, x.epi.values): k
-                for k, x in enumerate(self.simplices(degree))
-            }
-        return index
+    def _offsets(self, degree):
+        # cell name -> position of the cell's first simplex in
+        # simplices(degree), in cell order: one int per cell
+        offsets = self._cell_offsets.get(degree)
+        if offsets is None:
+            offsets, k = {}, 0
+            for c in self._cells:
+                if c.dim > degree:
+                    break
+                offsets[c.name] = k
+                k += comb(degree, c.dim)
+            self._cell_offsets[degree] = offsets
+        return offsets
 
     def normal_values(self, cell, w):
         """The normal form (generator, collapse values) of the simplex with
@@ -437,29 +429,48 @@ class SimplicialSet:
 
 
 class _ActionRow(dict):
-    """The row of :meth:`SimplicialSet.act`, each entry made on first read."""
+    """The row of :meth:`SimplicialSet.act`, each entry made on first read.
 
-    __slots__ = ("space", "psi")
+    A position z of ``simplices(psi.target)`` is decoded by the cell
+    offsets into a cell and the rank of its collapse values, which the
+    shape table :func:`_collapses` holds; the image is encoded the same
+    way in degree ``psi.source``.
+    """
+
+    __slots__ = ("space", "psi", "cells", "starts", "end", "offsets")
 
     def __init__(self, space, psi):
         self.space, self.psi = space, psi
+        self.starts = list(space._offsets(psi.target).values())
+        self.cells = space.cells[:len(self.starts)]
+        self.end = _simplex_count(space, psi.target)
+        self.offsets = space._offsets(psi.source)
 
     def __missing__(self, z):
-        if z < 0:
-            raise IndexError("simplex position %d is negative" % (z,))
-        space, psi = self.space, self.psi
-        x = space.simplices(psi.target)[z]
-        v = x.epi.values
-        cell, w = space.normal_values(x.generator, tuple(v[t] for t in psi.values))
-        k = self[z] = space._position_index(psi.source)[cell.name, w]
+        if not 0 <= z < self.end:
+            raise IndexError("simplex position %d is out of range" % (z,))
+        psi, k = self.psi, bisect_right(self.starts, z) - 1
+        cell = self.cells[k]
+        v = _collapses(psi.target, cell.dim)[1][z - self.starts[k]]
+        cell, w = self.space.normal_values(cell, tuple([v[t] for t in psi.values]))
+        k = self[z] = self.offsets[cell.name] + _collapse_ranks(psi.source, cell.dim)[w]
         return k
 
 
 def _positions(space, degree, simplices):
     """The positions of the given simplices in ``space.simplices(degree)``;
     ``KeyError`` when one is not among them."""
-    index = space._position_index(degree)
-    return tuple(index[x.generator.name, x.epi.values] for x in simplices)
+    offsets = space._offsets(degree)
+    return tuple(
+        offsets[x.generator.name]
+        + _collapse_ranks(degree, space.cell(x.generator.name).dim)[x.epi.values]
+        for x in simplices
+    )
+
+
+def _simplex_count(space, degree):
+    """``len(space.simplices(degree))``, without listing them."""
+    return sum(comb(degree, c.dim) for c in space.cells if c.dim <= degree)
 
 
 def _factor_values(values):
@@ -468,6 +479,88 @@ def _factor_values(values):
     image = sorted(set(values))
     rank = {u: k for k, u in enumerate(image)}
     return tuple(rank[u] for u in values), tuple(image)
+
+
+# ---------------------------------------------------------------------------
+# Shape tables: what depends only on a degree and a cell dimension.
+# ---------------------------------------------------------------------------
+
+_SHAPES = 64  # entries each shape table keeps: a benchmark pass takes at most 49
+
+
+def _collapse_values(degree, dim):
+    """Stream the value tuples of the collapses [degree] ->> [dim] in the
+    order of :meth:`SimplicialSet.iter_simplices`, ascending in their
+    repeat positions."""
+    for repeats in combinations(range(degree), degree - dim):
+        climbs = [1] * degree
+        for s in repeats:
+            climbs[s] = 0
+        yield tuple(accumulate(climbs, initial=0))
+
+
+@lru_cache(maxsize=_SHAPES)
+def _collapses(degree, dim):
+    """The collapses of :func:`_collapse_values`, kept as
+    ``(maps, value tuples)``."""
+    values = tuple(_collapse_values(degree, dim))
+    return tuple(MonotoneMap(degree, dim, v) for v in values), values
+
+
+@lru_cache(maxsize=_SHAPES)
+def _collapse_ranks(degree, dim):
+    """The rank of each value tuple in :func:`_collapses` ``(degree, dim)``."""
+    return {v: r for r, v in enumerate(_collapses(degree, dim)[1])}
+
+
+@lru_cache(maxsize=_SHAPES)
+def _face_plan(degree, dim):
+    """The faces of the collapses of a shape, by the rule of
+    :meth:`SimplicialSet.face_table`: entry ``[i][r]`` is ``(0, rank)``
+    when the i-th face of the r-th collapse v stays on the cell, the rank
+    of its values among the collapses [degree - 1] ->> [dim], and
+    ``(j + 1, rank)`` when it moves onto the cell's j-th face entry, j =
+    v[i], the rank of its values shifted down past j among the collapses
+    [degree - 1] ->> [dim - 1]."""
+    same = _collapse_ranks(degree - 1, dim) if dim < degree else {}
+    moved = _collapse_ranks(degree - 1, dim - 1) if dim else {}
+    plan = []
+    for i in range(degree + 1):
+        column = []
+        for v in _collapses(degree, dim)[1]:
+            w, j = v[:i] + v[i + 1:], v[i]
+            if (i and v[i - 1] == j) or (i < degree and v[i + 1] == j):
+                column.append((0, same[w]))
+            else:
+                column.append((j + 1, moved[tuple([u if u < j else u - 1 for u in w])]))
+        plan.append(tuple(column))
+    return tuple(plan)
+
+
+@lru_cache(maxsize=_SHAPES)
+def _shape_masks(degree, dim):
+    """The repeat masks of :meth:`SimplicialSet.step_masks` for the
+    collapses of a shape, and a ``dict`` of their edge masks by the mask of
+    the cell's degenerate elementary edges, filled by :func:`_edge_masks`."""
+    repeats = tuple(
+        sum(1 << s for s in range(degree) if v[s] == v[s + 1]) for v in _collapses(degree, dim)[1]
+    )
+    return repeats, {0: repeats}
+
+
+def _edge_masks(degree, dim, bad):
+    """The edge masks of the collapses of a shape on a cell whose elementary
+    edge (a, a + 1) is degenerate exactly when bit a of ``bad`` is set:
+    bit s is set when v repeats at s or climbs a degenerate edge there.
+    Two threads that fill one entry at once store equal tuples."""
+    repeats, edges = _shape_masks(degree, dim)
+    masks = edges.get(bad)
+    if masks is None:
+        masks = edges[bad] = tuple(
+            r | sum(1 << s for s in range(degree) if v[s] != v[s + 1] and bad >> v[s] & 1)
+            for r, v in zip(repeats, _collapses(degree, dim)[1])
+        )
+    return masks
 
 
 # ---------------------------------------------------------------------------

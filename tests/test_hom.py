@@ -824,7 +824,7 @@ class TestGeneralSource:
             "_simplex_cache",
             "_face_tables",
             "_step_masks",
-            "_position_indexes",
+            "_cell_offsets",
             "_act_rows",
         }
 

@@ -43,15 +43,30 @@ def test_oracle_does_not_import_the_engine():
 
 
 def test_oracle_never_reads_the_engine_face_tables():
-    # face_table and act serve the engine's search, and normal_values is the
-    # rule face_table reads; the oracle computes every face through
+    # face_table and act serve the engine's search, normal_values is the
+    # rule face_table reads, and the shape tables are the per-shape half of
+    # face_table, step_masks and act; the oracle computes every face through
     # face/apply_map so that the two routes share no face data
+    engine = {
+        "face_table",
+        "act",
+        "normal_values",
+        "step_masks",
+        "_offsets",
+        "_collapse_values",
+        "_collapses",
+        "_collapse_ranks",
+        "_face_plan",
+        "_shape_masks",
+        "_edge_masks",
+    }
     tree = ast.parse(Path(simphom.oracle.__file__).read_text(encoding="utf-8"))
     reads = [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and node.attr in ("face_table", "act", "normal_values")
+        if (isinstance(node, ast.Attribute) and node.attr in engine)
+        or (isinstance(node, ast.Name) and node.id in engine)
+        or (isinstance(node, ast.alias) and node.name in engine)
     ]
     assert not reads, reads
 

@@ -14,6 +14,7 @@ from simphom.regularity import (
     satisfies_pr,
 )
 from simphom.simpset import (
+    _collapses,
     boundary_delta,
     cell_simplex,
     delta,
@@ -193,8 +194,10 @@ class TestBlockCollapseProperty:
 
     def test_a_violation_at_a_large_width_keeps_no_degree(self):
         # the least witness lies on the triangle, the one cell with a
-        # degenerate edge; no list of degree-200 simplices is built for it
+        # degenerate edge; no list of degree-200 simplices is built for it,
+        # and no shape table keeps its collapses
         space = squashed_triangle()
+        _collapses.cache_clear()
         start = time.perf_counter()
         report = satisfies_pr(space, 200)
         assert time.perf_counter() - start < 1
@@ -203,6 +206,7 @@ class TestBlockCollapseProperty:
         assert (x.generator.name, x.degree, i) == ("0,1,2", 200, 0)
         assert x.epi.values == (0,) * 199 + (1, 2)
         assert 200 not in vars(space)["_simplex_cache"]
+        assert _collapses.cache_info().currsize == 0
 
     def test_default_cap_matches_larger_caps(self):
         # raising the cap beyond the default never changes the verdict

@@ -205,7 +205,7 @@ class TestAction:
     def test_simplices_match_the_per_cell_listing(self):
         for space in _action_spaces():
             for d in range(6):
-                assert space.simplices(d) == tuple(
+                assert tuple(space.iter_simplices(d)) == space.simplices(d) == tuple(
                     FormalSimplex(surjection_from_repeats(d, repeats), c)
                     for c in space.cells
                     if c.dim <= d
@@ -230,7 +230,15 @@ class TestAction:
             "_face_values",
             "_drop_value",
             "step_masks",
-            "_position_index",
+            "_offsets",
+            "_positions",
+            "_simplex_count",
+            "_collapse_values",
+            "_collapses",
+            "_collapse_ranks",
+            "_face_plan",
+            "_shape_masks",
+            "_edge_masks",
         }
         reads = [
             "%s:%d" % (name, node.lineno)
@@ -690,3 +698,88 @@ class TestAct:
         space = delta(2)
         assert space.act(face_map(0, 2)) is space.act(face_map(0, 2))
         assert space.act(face_map(0, 2)) is not space.act(face_map(1, 2))
+
+
+_SHAPE_TABLES = (
+    simphom.simpset._collapses,
+    simphom.simpset._collapse_ranks,
+    simphom.simpset._face_plan,
+    simphom.simpset._shape_masks,
+)
+
+
+def _engine_tables(space, top):
+    """The face tables, step masks and full act rows of the elementary maps
+    of degrees up to ``top``, read through the engine's tables only."""
+    out = {}
+    for d in range(top + 1):
+        positions = range(simphom.simpset._simplex_count(space, d))
+        rows = {psi: [space.act(psi)[z] for z in positions] for psi in _elementary_maps(d)}
+        out[d] = (space.face_table(d) if d else None, space.step_masks(d), rows)
+    return out
+
+
+def _reference_tables(space, top):
+    """What :func:`_engine_tables` reads, through simplices, face and apply_map."""
+    index = {}
+    for d in range(top + 2):
+        index[d] = {x: k for k, x in enumerate(space.simplices(d))}
+    out = {}
+    for d in range(top + 1):
+        simplices = space.simplices(d)
+        faces = None
+        if d:
+            faces = tuple(
+                tuple(index[d - 1][space.face(x, i)] for x in simplices) for i in range(d + 1)
+            )
+        repeats, edges = [], []
+        for x in simplices:
+            v = x.epi.values
+            repeats.append(sum(1 << s for s in range(d) if v[s] == v[s + 1]))
+            edges.append(
+                sum(1 << s for s in range(d) if space.apply_map(edge_map(s, 1, d), x).is_degenerate)
+            )
+        rows = {
+            psi: [index[psi.source][space.apply_map(psi, x)] for x in simplices]
+            for psi in _elementary_maps(d)
+        }
+        out[d] = (faces, (tuple(repeats), tuple(edges)), rows)
+    return out
+
+
+class TestShapeTables:
+    # face_table, step_masks and act read per-shape tables shared by every
+    # target, plus each target's cell offsets: no simplex is listed
+    def test_tables_of_a_fresh_target_list_no_simplex(self):
+        for entry in corpus():
+            space = SimplicialSet(entry.space.cells, entry.space.faces)
+            _engine_tables(space, 5)
+            simphom.hom.enumerate_hom_simplices(space, 1, 2)
+            assert vars(space)["_simplex_cache"] == {}, entry.name
+
+    def test_targets_sharing_shapes_match_the_slow_route_in_either_order(self):
+        def make():
+            return [delta(3), quotient(delta(3), ["0,3"])]
+
+        for order in (make(), make()[::-1]):
+            for table in _SHAPE_TABLES:
+                table.cache_clear()
+            got = [_engine_tables(space, 5) for space in order]
+            assert simphom.simpset._face_plan.cache_info().hits > 0  # shared
+            for space, tables in zip(order, got):
+                assert tables == _reference_tables(space, 5), space
+
+    def test_shape_tables_are_bounded_and_keep_every_shape_of_a_sweep(self):
+        # the landmarks' tables up to degree 12 take more shapes than a
+        # benchmark pass, at most 49 per table, and none is evicted
+        for table in _SHAPE_TABLES:
+            assert table.cache_info().maxsize == simphom.simpset._SHAPES
+            table.cache_clear()
+        for entry in corpus():
+            space = SimplicialSet(entry.space.cells, entry.space.faces)
+            for d in range(1, 13):
+                space.face_table(d)
+                space.step_masks(d)
+        for table in _SHAPE_TABLES:
+            info = table.cache_info()
+            assert info.currsize == info.misses, (table, info)

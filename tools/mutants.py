@@ -84,6 +84,18 @@ MUTANTS = {
         "                    )",
         "hom_complex writes every face entry with an identity collapse",
     ),
+    "shape-plan-left-repeat-only": (
+        "simpset.py",
+        "if (i and v[i - 1] == j) or (i < degree and v[i + 1] == j):",
+        "if i and v[i - 1] == j:",
+        "the face plan keeps a face on its cell only when v[i] repeats on the left",
+    ),
+    "offsets-wrong-width": (
+        "simpset.py",
+        "k += comb(degree, c.dim)",
+        "k += comb(degree, c.dim + 1)",
+        "each cell's offset counts the collapses onto one dimension more",
+    ),
 }
 
 
