@@ -33,8 +33,11 @@ then ``verdict``/``value`` with optional ``witness`` or ``counts``, and
 ``elapsed_ms``.  A false verdict is a successful run.  A script that
 cannot be read (a missing file, or one that is not valid UTF-8) or parsed
 exits with status 2 before any command runs; a binding or command that
-fails, for any reason, becomes an object with an ``error`` field, the
-remaining lines still run, and the exit status is 1.  A negative
+fails, for any reason, becomes an object with an ``error`` field in place
+of its results, the remaining lines still run, and the exit status is 1.
+Every line, a failed one included, carries ``command`` and ``inputs``, as
+parsed; the ``cap`` of ``inputs`` is the cap the command ran with, which
+is ``--max-degree`` on a line that names none.  A negative
 ``--max-degree`` is such a failure of each command that receives it.
 """
 
@@ -80,16 +83,13 @@ class ScriptError(Exception):
 
 @dataclass(frozen=True)
 class Statement:
-    """One parsed line: a binding or a command with its argument tuple."""
+    """One parsed line: its kind, the ``inputs`` its output line prints, in
+    their printed order, and for a binding the expression that builds it."""
 
     kind: str
-    args: tuple
+    inputs: dict
     line: int
-
-
-@dataclass(frozen=True)
-class Script:
-    statements: tuple
+    expr: tuple = None
 
 
 def _tokens(line):
@@ -126,13 +126,11 @@ class _Cursor:
         return int(tok)
 
     def cap(self):
-        """The optional trailing ``cap C`` (None without one); ends the line."""
-        cap = None
+        """The optional trailing ``cap C`` (None without one)."""
         if self.pos < len(self.tokens):
             self.expect("cap")
-            cap = self.integer("a cap")
-        self.done()
-        return cap
+            return self.integer("a cap")
+        return None
 
     def done(self):
         if self.pos < len(self.tokens):
@@ -164,7 +162,7 @@ def _parse_cells(raw, lineno, col):
 
 
 def _parse_binding(cur, line):
-    """The ``(name, expression)`` of a binding, read after ``set``."""
+    """The kind, inputs and expression of a binding, read after ``set``."""
     name, name_col = cur.next("a set name")
     if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_\-]*", name):
         cur.error("invalid set name %r" % (name,), at=name_col)
@@ -200,67 +198,59 @@ def _parse_binding(cur, line):
         cur.pos = len(cur.tokens)
     else:
         cur.error("unknown constructor %r" % (head,), at=head_col)
-    cur.done()
-    return name, expr
+    return "set", {"name": name}, expr
 
 
 def _parse_command(cur, line):
+    """The kind and inputs of a line, and a binding's expression; the
+    inputs are read in the order the line names them."""
     head, head_col = cur.next("a command")
     if head == "set":
-        return "set", _parse_binding(cur, line)
+        return _parse_binding(cur, line)
     if head == "check":
         what, what_col = cur.next("a property")
         if what in ("regular", "strongly-regular"):
-            name, _ = cur.next("a set name")
-            cur.done()
-            return "check-" + what, (name,)
+            return "check-" + what, {"set": cur.next("a set name")[0]}
         if what == "P":
             r = cur.integer("a width r")
-            name, _ = cur.next("a set name")
-            return "check-P", (r, name, cur.cap())
+            return "check-P", {"r": r, "set": cur.next("a set name")[0], "cap": cur.cap()}
         cur.error("unknown property %r" % (what,), at=what_col)
     if head == "homdim":
         source, _ = cur.next("a source set name")
         cur.expect("target")
         target, _ = cur.next("a target set name")
-        return "homdim", (source, target, cur.cap())
+        return "homdim", {"source": source, "target": target, "cap": cur.cap()}
     if head == "homcount":
         n = cur.integer("a source dimension n")
         p = cur.integer("a degree p")
         cur.expect("target")
-        target, _ = cur.next("a target set name")
-        cur.done()
-        return "homcount", (n, p, target)
+        return "homcount", {"n": n, "p": p, "target": cur.next("a target set name")[0]}
     if head == "dump":
-        name, _ = cur.next("a set name")
-        cur.done()
-        return "dump", (name,)
+        return "dump", {"set": cur.next("a set name")[0]}
     if head == "example":
         which, which_col = cur.next("an example name")
         if which == "tight":
-            n = cur.integer("n")
-            q = cur.integer("q")
-            cur.done()
-            return "example-tight", (n, q)
+            return "example-tight", {"n": cur.integer("n"), "q": cur.integer("q")}
         if which == "lurie":
-            q = cur.integer("q")
-            a = cur.integer("a")
-            p = cur.integer("p")
-            cur.done()
-            return "example-lurie", (q, a, p)
+            return "example-lurie", {
+                "q": cur.integer("q"), "a": cur.integer("a"), "p": cur.integer("p")
+            }
         cur.error("unknown example %r" % (which,), at=which_col)
     cur.error("unknown command %r" % (head,), at=head_col)
 
 
 def parse_script(text):
-    """Parse a script; raises :class:`ScriptError` with line and column."""
+    """Parse a script into a tuple of :class:`Statement`; raises
+    :class:`ScriptError` with line and column."""
     statements = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if line.strip():
-            kind, args = _parse_command(_Cursor(_tokens(line), lineno), line)
-            statements.append(Statement(kind, args, lineno))
-    return Script(tuple(statements))
+            cur = _Cursor(_tokens(line), lineno)
+            kind, inputs, *expr = _parse_command(cur, line)
+            cur.done()
+            statements.append(Statement(kind, inputs, lineno, *expr))
+    return tuple(statements)
 
 
 # ---------------------------------------------------------------------------
@@ -321,46 +311,32 @@ def _dimension_value(result):
     return result.value if result.exact else "≥ %d" % (result.value,)
 
 
-def _run_command(stmt, env, options):
-    """The body of a command's result line; a binding binds and returns None."""
-    kind, args = stmt.kind, stmt.args
-    if kind in ("check-P", "homdim") and args[-1] is None:
-        args = args[:-1] + (options["max_degree"],)
+def _run_command(stmt, inputs, env, dump_hom):
+    """The result fields of a command's line; a binding binds and returns None."""
+    kind = stmt.kind
     if kind == "set":
-        name, expr = args
+        name = inputs["name"]
         if name in env:
             raise ScriptError("name %r is already bound" % (name,), stmt.line, 1)
-        env[name] = _build(expr, env, stmt)
+        env[name] = _build(stmt.expr, env, stmt)
         return None
     if kind in ("check-regular", "check-strongly-regular"):
         check = is_regular if kind == "check-regular" else is_strongly_regular
-        return {"inputs": {"set": args[0]}, **_report(check(_lookup(args[0], env, stmt)))}
+        return _report(check(_lookup(inputs["set"], env, stmt)))
     if kind == "check-P":
-        r, name, cap = args
-        space = _lookup(name, env, stmt)
-        return {
-            "inputs": {"r": r, "set": name, "cap": cap},
-            **_report(satisfies_pr(space, r, degree_cap=cap)),
-        }
+        space = _lookup(inputs["set"], env, stmt)
+        return _report(satisfies_pr(space, inputs["r"], degree_cap=inputs["cap"]))
     if kind == "homdim":
-        source_name, target_name, cap = args
-        source = _lookup(source_name, env, stmt)
-        target = _lookup(target_name, env, stmt)
-        result = dim_hom_general(source, target, degree_cap=cap)
-        return {
-            "inputs": {"source": source_name, "target": target_name, "cap": cap},
-            "value": _dimension_value(result),
-        }
+        source = _lookup(inputs["source"], env, stmt)
+        target = _lookup(inputs["target"], env, stmt)
+        result = dim_hom_general(source, target, degree_cap=inputs["cap"])
+        return {"value": _dimension_value(result)}
     if kind == "homcount":
-        n, p, target_name = args
-        target = _lookup(target_name, env, stmt)
-        simplices = enumerate_hom_simplices(target, n, p)
+        n, p = inputs["n"], inputs["p"]
+        simplices = enumerate_hom_simplices(_lookup(inputs["target"], env, stmt), n, p)
         nondegenerate = sum(1 for f in simplices if not is_degenerate_hom(f))
-        out = {
-            "inputs": {"n": n, "p": p, "target": target_name},
-            "counts": {"total": len(simplices), "nondegenerate": nondegenerate},
-        }
-        if options["dump_hom"]:
+        out = {"counts": {"total": len(simplices), "nondegenerate": nondegenerate}}
+        if dump_hom:
             words = [path.word for path in all_paths(p, n)]
             out["assignments"] = [
                 {w: f.values[i].token() for i, w in enumerate(words)}
@@ -368,14 +344,11 @@ def _run_command(stmt, env, options):
             ]
         return out
     if kind == "dump":
-        space = _lookup(args[0], env, stmt)
-        return {"inputs": {"set": args[0]}, "value": to_json_dict(space)}
+        return {"value": to_json_dict(_lookup(inputs["set"], env, stmt))}
     if kind == "example-tight":
-        n, q = args
-        fn = tight_simplex(n, q)
+        fn = tight_simplex(inputs["n"], inputs["q"])
         sums = [sum(col) for col in fn.table]
         return {
-            "inputs": {"n": n, "q": q},
             "verdict": not fn.degenerate_columns(),
             "value": {
                 "width": fn.width,
@@ -384,10 +357,8 @@ def _run_command(stmt, env, options):
             },
         }
     if kind == "example-lurie":
-        q, a, p = args
-        space, f = lurie_family(p, q, anchor=a)
+        space, f = lurie_family(inputs["p"], inputs["q"], anchor=inputs["a"])
         return {
-            "inputs": {"q": q, "a": a, "p": p},
             "verdict": not is_degenerate_hom(f),
             "value": {
                 "target_cells": len(space.cells),
@@ -404,24 +375,26 @@ def _error_text(exc):
     return "%s: %s" % (type(exc).__name__, exc)
 
 
-def run(script, max_degree=None, dump_hom=False):
-    """Execute a parsed script; returns (results, ok).
+def run(statements, max_degree=None, dump_hom=False):
+    """Execute the statements of a parsed script; returns (results, ok).
 
     ``results`` is one dict per command, and one per binding that failed,
-    in order; failures, of any exception type, become objects with an
-    ``error`` field and make ``ok`` false (a false verdict does not).
+    in order, each with the ``command`` and ``inputs`` of its statement; a
+    ``cap`` the line does not name is ``max_degree``.  Failures, of any
+    exception type, become objects with an ``error`` field and make ``ok``
+    false (a false verdict does not).
     """
     env = {}
     results = []
     ok = True
-    options = {"max_degree": max_degree, "dump_hom": dump_hom}
-    for stmt in script.statements:
+    for stmt in statements:
         started = time.monotonic()
-        out = {"command": stmt.kind.replace("-", " ")}
-        if stmt.kind == "set":
-            out["inputs"] = {"name": stmt.args[0]}
+        inputs = dict(stmt.inputs)
+        if "cap" in inputs and inputs["cap"] is None:
+            inputs["cap"] = max_degree
+        out = {"command": stmt.kind.replace("-", " "), "inputs": inputs}
         try:
-            body = _run_command(stmt, env, options)
+            body = _run_command(stmt, inputs, env, dump_hom)
         except Exception as exc:
             ok = False
             out["error"] = _error_text(exc)

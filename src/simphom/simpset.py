@@ -41,21 +41,26 @@ caps them.  Only :meth:`SimplicialSet.simplices` fills
 :meth:`SimplicialSet.act` list none.
 
 What depends only on a shape, a degree and a cell dimension, is kept in
-four process-wide ``lru_cache`` tables shared by every instance: the
-collapses of the shape in canonical order with their value tuples
+four process-wide shape tables shared by every instance: the collapses
+of the shape in canonical order with their value tuples
 (:func:`_collapses`), the rank of each (:func:`_collapse_ranks`), the
 face plan of ``face_table`` (:func:`_face_plan`), and the repeat masks
-with the edge masks for each mask of degenerate elementary edges
-(:func:`_shape_masks`).  Each keeps at most ``_SHAPES`` = 64 shapes; one
-pass of a benchmark workload takes at most 49 per table, so a pass evicts
-none.
+(:func:`_shape_masks`).  Each is an ``lru_cache`` bounded by count and by
+size: it keeps at most ``_SHAPES`` = 64 shapes, and none of more than
+``_SHAPE_SIZE`` = 4,096 collapses, which is built for its call and
+dropped.  One pass of a benchmark workload takes at most 49 shapes per
+table, none of more than 91 collapses, so a pass evicts none.  An entry
+is a tuple or a ``dict`` of ranks, filled once and never changed.  A
+loop over cells reads the tables through :func:`_reader`, and an
+``act`` row holds the entries it read, so a shape too large to keep is
+built once per call or per row, not once per cell or per entry.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import accumulate, combinations
 from math import comb
 
@@ -265,11 +270,12 @@ class SimplicialSet:
         :func:`_collapses`, shared by every cell of that dimension."""
         cached = self._simplex_cache.get(degree)
         if cached is None:
+            read = _reader()
             cached = self._simplex_cache[degree] = tuple(
                 FormalSimplex(epi, c)
                 for c in self._cells
                 if c.dim <= degree
-                for epi in _collapses(degree, c.dim)[0]
+                for epi in read(_collapses, degree, c.dim)[0]
             )
         return cached
 
@@ -307,7 +313,7 @@ class SimplicialSet:
         if table is None:
             if degree < 1:
                 raise ValueError("simplices of degree %d have no faces" % (degree,))
-            offsets = self._offsets(degree - 1)
+            offsets, read = self._offsets(degree - 1), _reader()
             columns = [[] for _ in range(degree + 1)]
             for c in self._cells:
                 if c.dim > degree:  # cells come sorted by dimension
@@ -321,12 +327,12 @@ class SimplicialSet:
                     if y.epi.is_identity:
                         targets.append(range(start, start + comb(degree - 1, c.dim - 1)))
                     else:
-                        e, ranks = y.epi.values, _collapse_ranks(degree - 1, y.generator.dim)
+                        e, ranks = y.epi.values, read(_collapse_ranks, degree - 1, y.generator.dim)
                         targets.append([
                             start + ranks[tuple([e[u] for u in w])]
-                            for w in _collapses(degree - 1, c.dim - 1)[1]
+                            for w in read(_collapses, degree - 1, c.dim - 1)[1]
                         ])
-                for column, plan in zip(columns, _face_plan(degree, c.dim)):
+                for column, plan in zip(columns, read(_face_plan, degree, c.dim)):
                     column += [targets[k][r] for k, r in plan]
             table = self._face_tables[degree] = tuple(map(tuple, columns))
         return table
@@ -339,21 +345,27 @@ class SimplicialSet:
         collapse values v of the z-th simplex repeat at s, v[s] == v[s + 1];
         bit s of ``edges[z]`` when its edge (s, s + 1) is degenerate: v
         repeats at s, or the cell's elementary edge (v[s], v[s] + 1) is
-        degenerate by :meth:`normal_values`.  The masks of a cell are those
-        of its shape, :func:`_shape_masks`, read for its degenerate
-        elementary edges.  Kept per degree; no simplex is listed.
+        degenerate by :meth:`normal_values`.  The repeat masks of a cell are
+        those of its shape, :func:`_shape_masks`; its edge masks are the
+        same unless the cell has a degenerate elementary edge.  Kept per
+        degree; no simplex is listed.
         """
         masks = self._step_masks.get(degree)
         if masks is None:
-            repeats, edges = [], []
+            repeats, edges, read = [], [], _reader()
             for c in self._cells:
                 if c.dim > degree:  # cells come sorted by dimension
                     break
                 bad = sum(
                     1 << a for a in range(c.dim) if self.normal_values(c, (a, a + 1))[0].dim == 0
                 )
-                repeats += _shape_masks(degree, c.dim)[0]
-                edges += _edge_masks(degree, c.dim, bad)
+                shape = read(_shape_masks, degree, c.dim)
+                repeats += shape
+                # v repeats at s, or climbs a degenerate edge (v[s], v[s] + 1)
+                edges += shape if not bad else [
+                    r | sum(1 << s for s in range(degree) if bad >> v[s] & 1)
+                    for r, v in zip(shape, read(_collapses, degree, c.dim)[1])
+                ]
             masks = self._step_masks[degree] = (tuple(repeats), tuple(edges))
         return masks
 
@@ -434,10 +446,12 @@ class _ActionRow(dict):
     A position z of ``simplices(psi.target)`` is decoded by the cell
     offsets into a cell and the rank of its collapse values, which the
     shape table :func:`_collapses` holds; the image is encoded the same
-    way in degree ``psi.source``.
+    way in degree ``psi.source``.  The row holds the shape table entries it
+    reads, by cell dimension, so a shape too large for the table is built
+    once per row.
     """
 
-    __slots__ = ("space", "psi", "cells", "starts", "end", "offsets")
+    __slots__ = ("space", "psi", "cells", "starts", "end", "offsets", "values", "ranks")
 
     def __init__(self, space, psi):
         self.space, self.psi = space, psi
@@ -445,25 +459,32 @@ class _ActionRow(dict):
         self.cells = space.cells[:len(self.starts)]
         self.end = _simplex_count(space, psi.target)
         self.offsets = space._offsets(psi.source)
+        self.values, self.ranks = {}, {}
 
     def __missing__(self, z):
         if not 0 <= z < self.end:
             raise IndexError("simplex position %d is out of range" % (z,))
         psi, k = self.psi, bisect_right(self.starts, z) - 1
         cell = self.cells[k]
-        v = _collapses(psi.target, cell.dim)[1][z - self.starts[k]]
+        values = self.values.get(cell.dim)
+        if values is None:
+            values = self.values[cell.dim] = _collapses(psi.target, cell.dim)[1]
+        v = values[z - self.starts[k]]
         cell, w = self.space.normal_values(cell, tuple([v[t] for t in psi.values]))
-        k = self[z] = self.offsets[cell.name] + _collapse_ranks(psi.source, cell.dim)[w]
+        ranks = self.ranks.get(cell.dim)
+        if ranks is None:
+            ranks = self.ranks[cell.dim] = _collapse_ranks(psi.source, cell.dim)
+        k = self[z] = self.offsets[cell.name] + ranks[w]
         return k
 
 
 def _positions(space, degree, simplices):
     """The positions of the given simplices in ``space.simplices(degree)``;
     ``KeyError`` when one is not among them."""
-    offsets = space._offsets(degree)
+    offsets, read = space._offsets(degree), _reader()
     return tuple(
         offsets[x.generator.name]
-        + _collapse_ranks(degree, space.cell(x.generator.name).dim)[x.epi.values]
+        + read(_collapse_ranks, degree, space.cell(x.generator.name).dim)[x.epi.values]
         for x in simplices
     )
 
@@ -486,6 +507,37 @@ def _factor_values(values):
 # ---------------------------------------------------------------------------
 
 _SHAPES = 64  # entries each shape table keeps: a benchmark pass takes at most 49
+_SHAPE_SIZE = 4096  # collapses of the largest shape kept: Tier-1 keeps at most 1,001, a pass 91
+
+
+def _shape_table(build):
+    """``build(degree, dim)`` kept in an ``lru_cache`` of ``_SHAPES``
+    entries, whose ``cache_info`` and ``cache_clear`` it carries, when the
+    shape has at most ``_SHAPE_SIZE`` collapses; a larger shape is built
+    for its call and not kept."""
+    kept = lru_cache(maxsize=_SHAPES)(build)
+
+    @wraps(build)
+    def table(degree, dim):
+        return kept(degree, dim) if comb(degree, dim) <= _SHAPE_SIZE else build(degree, dim)
+
+    table.cache_info, table.cache_clear = kept.cache_info, kept.cache_clear
+    return table
+
+
+def _reader():
+    """``read(table, degree, dim)``: a shape table's entry, held by the
+    reader, so that a loop over cells builds a shape too large for its
+    table once, not once per cell."""
+    held = {}
+
+    def read(table, degree, dim):
+        entry = held.get((table, degree, dim))
+        if entry is None:
+            entry = held[table, degree, dim] = table(degree, dim)
+        return entry
+
+    return read
 
 
 def _collapse_values(degree, dim):
@@ -499,7 +551,7 @@ def _collapse_values(degree, dim):
         yield tuple(accumulate(climbs, initial=0))
 
 
-@lru_cache(maxsize=_SHAPES)
+@_shape_table
 def _collapses(degree, dim):
     """The collapses of :func:`_collapse_values`, kept as
     ``(maps, value tuples)``."""
@@ -507,13 +559,13 @@ def _collapses(degree, dim):
     return tuple(MonotoneMap(degree, dim, v) for v in values), values
 
 
-@lru_cache(maxsize=_SHAPES)
+@_shape_table
 def _collapse_ranks(degree, dim):
     """The rank of each value tuple in :func:`_collapses` ``(degree, dim)``."""
     return {v: r for r, v in enumerate(_collapses(degree, dim)[1])}
 
 
-@lru_cache(maxsize=_SHAPES)
+@_shape_table
 def _face_plan(degree, dim):
     """The faces of the collapses of a shape, by the rule of
     :meth:`SimplicialSet.face_table`: entry ``[i][r]`` is ``(0, rank)``
@@ -524,10 +576,10 @@ def _face_plan(degree, dim):
     [degree - 1] ->> [dim - 1]."""
     same = _collapse_ranks(degree - 1, dim) if dim < degree else {}
     moved = _collapse_ranks(degree - 1, dim - 1) if dim else {}
-    plan = []
+    plan, values = [], _collapses(degree, dim)[1]
     for i in range(degree + 1):
         column = []
-        for v in _collapses(degree, dim)[1]:
+        for v in values:
             w, j = v[:i] + v[i + 1:], v[i]
             if (i and v[i - 1] == j) or (i < degree and v[i + 1] == j):
                 column.append((0, same[w]))
@@ -537,30 +589,14 @@ def _face_plan(degree, dim):
     return tuple(plan)
 
 
-@lru_cache(maxsize=_SHAPES)
+@_shape_table
 def _shape_masks(degree, dim):
     """The repeat masks of :meth:`SimplicialSet.step_masks` for the
-    collapses of a shape, and a ``dict`` of their edge masks by the mask of
-    the cell's degenerate elementary edges, filled by :func:`_edge_masks`."""
-    repeats = tuple(
+    collapses of a shape, which are also the edge masks of a cell with no
+    degenerate elementary edge."""
+    return tuple(
         sum(1 << s for s in range(degree) if v[s] == v[s + 1]) for v in _collapses(degree, dim)[1]
     )
-    return repeats, {0: repeats}
-
-
-def _edge_masks(degree, dim, bad):
-    """The edge masks of the collapses of a shape on a cell whose elementary
-    edge (a, a + 1) is degenerate exactly when bit a of ``bad`` is set:
-    bit s is set when v repeats at s or climbs a degenerate edge there.
-    Two threads that fill one entry at once store equal tuples."""
-    repeats, edges = _shape_masks(degree, dim)
-    masks = edges.get(bad)
-    if masks is None:
-        masks = edges[bad] = tuple(
-            r | sum(1 << s for s in range(degree) if v[s] != v[s + 1] and bad >> v[s] & 1)
-            for r, v in zip(repeats, _collapses(degree, dim)[1])
-        )
-    return masks
 
 
 # ---------------------------------------------------------------------------

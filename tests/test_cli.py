@@ -21,7 +21,7 @@ def run_text(text, **kw):
 
 class TestParsing:
     def test_bindings_and_commands(self):
-        script = parse_script(
+        statements = parse_script(
             """
             # build a couple of spaces
             set D = delta 2
@@ -43,7 +43,7 @@ class TestParsing:
             example lurie 3 1 4
             """
         )
-        kinds = [s.kind for s in script.statements]
+        kinds = [s.kind for s in statements]
         assert kinds.count("set") == 9
         assert kinds[-8:] == [
             "check-regular",
@@ -258,6 +258,44 @@ class TestExecution:
         assert not ok
         assert "error" in results[0]
 
+    @pytest.mark.parametrize(
+        "line, inputs",
+        [
+            ("check regular W", {"set": "W"}),
+            ("check strongly-regular W", {"set": "W"}),
+            ("check P 2 W", {"r": 2, "set": "W", "cap": 5}),
+            ("check P 2 W cap 3", {"r": 2, "set": "W", "cap": 3}),
+            ("homdim I target W", {"source": "I", "target": "W", "cap": 5}),
+            ("homdim W target I cap 1", {"source": "W", "target": "I", "cap": 1}),
+            ("homcount 1 2 target W", {"n": 1, "p": 2, "target": "W"}),
+            ("dump W", {"set": "W"}),
+            ("example tight 0 0", {"n": 0, "q": 0}),
+            ("example lurie 3 0 4", {"q": 3, "a": 0, "p": 4}),
+        ],
+    )
+    def test_a_failed_line_names_its_inputs(self, line, inputs):
+        # the inputs of an error line are the parsed names, with the cap
+        # the command ran with: --max-degree when the line names none
+        statements = parse_script("set I = delta 1\n" + line + "\n")
+        results, ok = run(statements, max_degree=5)
+        assert not ok
+        (res,) = results
+        assert list(res) == ["command", "inputs", "error", "elapsed_ms"]
+        assert res["command"] == statements[-1].kind.replace("-", " ")
+        assert res["inputs"] == inputs
+        assert list(res["inputs"]) == list(inputs)
+
+    def test_one_parse_runs_under_two_caps(self):
+        statements = parse_script(
+            "set I = delta 1\nset D = delta 2\nset X = quotient D by 0 1; 0 2; 1 2\n"
+            "homdim I target X\n"
+        )
+        for cap in (2, 3):
+            results, ok = run(statements, max_degree=cap)
+            assert ok
+            assert results[0]["inputs"]["cap"] == cap
+            assert results[0]["value"] == "≥ %d" % (cap,)
+
     def test_deterministic_modulo_timing(self):
         text = "set D = delta 2\ncheck regular D\nhomcount 1 1 target D\n"
         first, _ = run_text(text)
@@ -315,8 +353,9 @@ class TestMain:
 
     def test_golden_transcript(self, capsys):
         """Every binding form and command, a cap on the line, the
-        --max-degree fallback and three failures, as recorded JSON text
-        with the timing dropped, so key order is pinned too."""
+        --max-degree fallback, on an error line too, and four failures, as
+        recorded JSON text with the timing dropped, so key order is pinned
+        too."""
         code = main([str(GOLDEN / "transcript.txt"), "--max-degree", "2", "--dump-hom"])
         lines = []
         for line in capsys.readouterr().out.splitlines():
@@ -396,7 +435,7 @@ class TestMain:
         code = main([path, "--pretty"])
         out = capsys.readouterr().out.splitlines()
         assert code == 1
-        assert out[0].startswith("== homdim ")
+        assert re.fullmatch(r"== homdim source=A target=B cap=None \(\d+ ms\)", out[0])
         assert out[1:] == [
             "   error: the target is not regular: an explicit degree cap is needed"
         ]

@@ -58,7 +58,6 @@ def test_oracle_never_reads_the_engine_face_tables():
         "_collapse_ranks",
         "_face_plan",
         "_shape_masks",
-        "_edge_masks",
     }
     tree = ast.parse(Path(simphom.oracle.__file__).read_text(encoding="utf-8"))
     reads = [

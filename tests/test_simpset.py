@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, product as tuples
 from pathlib import Path
 
@@ -238,7 +239,6 @@ class TestAction:
             "_collapse_ranks",
             "_face_plan",
             "_shape_masks",
-            "_edge_masks",
         }
         reads = [
             "%s:%d" % (name, node.lineno)
@@ -783,3 +783,52 @@ class TestShapeTables:
         for table in _SHAPE_TABLES:
             info = table.cache_info()
             assert info.currsize == info.misses, (table, info)
+
+    def test_a_shape_past_the_size_bound_is_not_kept(self):
+        # simplices(200) of the squashed triangle reads the collapses of
+        # three shapes; the 19,900 of (200, 2) are built for the call only
+        collapses = simphom.simpset._collapses
+        collapses.cache_clear()
+        assert len(quotient(delta(2), ["0,2"]).simplices(200)) == 2 + 2 * 200 + 19900
+        info = collapses.cache_info()
+        assert info.currsize == 2
+        collapses(200, 0), collapses(200, 1)
+        assert collapses.cache_info().misses == info.misses  # the two kept
+        assert math.comb(200, 2) > simphom.simpset._SHAPE_SIZE >= math.comb(200, 1)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda space: space.simplices(4),
+            lambda space: space.face_table(4),
+            lambda space: space.step_masks(4),
+            lambda space: [
+                space.act(face_map(0, 4))[z]
+                for z in range(simphom.simpset._simplex_count(space, 4))
+            ],
+        ],
+        ids=["simplices", "face_table", "step_masks", "act"],
+    )
+    def test_a_shape_too_large_to_keep_is_built_once_per_read(self, monkeypatch, read):
+        # with no shape small enough to keep, a table read over two copies
+        # of a space builds the shapes exactly as often as over one copy:
+        # a loop over cells or over a row's entries holds what it read
+        one = quotient(delta(2), ["0,2"])
+        two = disjoint_sum(one, one)
+        kept = read(disjoint_sum(one, one))
+        monkeypatch.setattr(simphom.simpset, "_SHAPE_SIZE", 0)
+        builds = Counter()
+        for name in ("_collapses", "_collapse_ranks", "_face_plan", "_shape_masks"):
+            table = getattr(simphom.simpset, name)
+            monkeypatch.setattr(
+                simphom.simpset,
+                name,
+                lambda degree, dim, name=name, table=table: (
+                    builds.update([(name, degree, dim)]) or table(degree, dim)
+                ),
+            )
+        read(one)
+        once = dict(builds)
+        builds.clear()
+        assert read(two) == kept
+        assert once and dict(builds) == once

@@ -96,6 +96,24 @@ MUTANTS = {
         "k += comb(degree, c.dim + 1)",
         "each cell's offset counts the collapses onto one dimension more",
     ),
+    "cli-cap-fallback-dropped": (
+        "cli.py",
+        'inputs["cap"] = max_degree',
+        "pass",
+        "a command whose line names no cap runs without the --max-degree cap",
+    ),
+    "edge-mask-reads-next-value": (
+        "simpset.py",
+        "bad >> v[s] & 1",
+        "bad >> v[s + 1] & 1",
+        "a step's edge mask reads the elementary edge after the one it climbs",
+    ),
+    "shape-size-unbounded": (
+        "simpset.py",
+        "comb(degree, dim) <= _SHAPE_SIZE",
+        "True",
+        "the shape tables keep a shape of any size",
+    ),
 }
 
 
