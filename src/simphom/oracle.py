@@ -9,7 +9,9 @@ space, used to cross-check the path-based engine:
   feasibility pruning.  The search runs on positions in the target's
   lists of simplices, through tables local to the call: an action table
   per collapse among the domain's face entries and the face rows of each
-  degree, all computed through ``face``/``apply_map``;
+  degree.  Every entry is a pullback of a cell, phi^*(eta^*c) =
+  (eta o phi)^*c, kept in a memo of the call, so each distinct pullback
+  goes through ``apply_map`` once per call;
 * a closed-form-free lattice count for standard-simplex source and
   target, where such maps are exactly the grid functions monotone in both
   directions.
@@ -31,6 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
+from .delta import face_map
 from .simpset import SimplicialSet, delta, product
 
 
@@ -56,9 +59,17 @@ def count_simplicial_maps(domain, target, node_budget=2_000_000):
 
     * one *action table* per distinct collapse among the domain's face
       entries, mapping positions of the collapse's target degree to
-      positions of its source degree, computed through ``apply_map``;
-    * the *face rows* of each degree the domain uses, computed through
-      ``face``, with the simplices grouped by their whole row.
+      positions of its source degree;
+    * the *face rows* of each degree the domain uses, with the simplices
+      grouped by their whole row.
+
+    Every entry of either is phi^*z for a simplex z = eta^*c, which is
+    the pullback (eta o phi)^*c of the cell c; for the face d_i, the
+    values of eta o phi are eta's with entry i dropped.  Both tables read
+    one memo of the call, keyed by ``(c.name, values of eta o phi)``: a
+    miss computes the entry through ``apply_map``, so each distinct
+    pullback costs one ``apply_map`` call per count.  The positions are
+    indexed by ``(generator name, collapse values)``.
 
     A cell's candidates are then the group of its required faces, in
     canonical order (for a vertex, every vertex of the target).  Each
@@ -78,31 +89,41 @@ def count_simplicial_maps(domain, target, node_budget=2_000_000):
     def index(degree):
         table = positions.get(degree)
         if table is None:
-            table = {z: k for k, z in enumerate(target.simplices(degree))}
+            table = {
+                (z.generator.name, z.epi.values): k
+                for k, z in enumerate(target.simplices(degree))
+            }
             positions[degree] = table
         return table
+
+    pulled = {}
+
+    def pull(phi, z):
+        # phi^*z for z = eta^*c is (eta o phi)^*c: one apply_map per pullback
+        v = z.epi.values
+        key = (z.generator.name, tuple([v[t] for t in phi.values]))
+        k = pulled.get(key)
+        if k is None:
+            y = target.apply_map(phi, z)
+            k = pulled[key] = index(phi.source)[y.generator.name, y.epi.values]
+        return k
 
     actions = {}
     for c in cells:
         for fs in domain.faces[c]:
             epi = fs.epi
             if epi not in actions:
-                below = index(epi.source)
-                actions[epi] = tuple(
-                    below[target.apply_map(epi, z)]
-                    for z in target.simplices(epi.target)
-                )
+                actions[epi] = tuple(pull(epi, z) for z in target.simplices(epi.target))
     groups = {}
     for d in {c.dim for c in cells}:
         simplices = target.simplices(d)
         if d == 0:
             groups[d] = {(): range(len(simplices))}
             continue
-        below = index(d - 1)
+        faces = [face_map(i, d) for i in range(d + 1)]
         group = {}
         for k, z in enumerate(simplices):
-            row = tuple(below[target.face(z, i)] for i in range(d + 1))
-            group.setdefault(row, []).append(k)
+            group.setdefault(tuple([pull(f, z) for f in faces]), []).append(k)
         groups[d] = group
     pools = [None] * len(cells)
     watchers = [[] for _ in cells]

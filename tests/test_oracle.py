@@ -46,7 +46,9 @@ def test_oracle_never_reads_the_engine_face_tables():
     # face_table and act serve the engine's search, normal_values is the
     # rule face_table reads, and the shape tables are the per-shape half of
     # face_table, step_masks and act; the oracle computes every face through
-    # face/apply_map so that the two routes share no face data
+    # apply_map so that the two routes share no face data; _positions and
+    # _reader read the offsets and the shape tables, so the oracle's
+    # position index comes from simplices(d) alone
     engine = {
         "face_table",
         "act",
@@ -58,6 +60,8 @@ def test_oracle_never_reads_the_engine_face_tables():
         "_collapse_ranks",
         "_face_plan",
         "_shape_masks",
+        "_positions",
+        "_reader",
     }
     tree = ast.parse(Path(simphom.oracle.__file__).read_text(encoding="utf-8"))
     reads = [
@@ -131,18 +135,48 @@ class TestBruteForce:
 
     def test_node_accounting_is_frozen(self):
         # the smallest budget that succeeds is the number of candidates the
-        # search tries, so it pins the cell order, the pools and the pruning
-        square = next(e.space for e in corpus() if e.name == "square")
+        # search tries, so it pins the cell order, the pools and the pruning;
+        # the irregular targets have faces that land on collapsed entries
+        landmark = {e.name: e.space for e in corpus()}
         cases = [
             (product(delta(2), delta(1)), delta(2), 50, 1502),
             (product(delta(1), delta(1)), quotient(delta(2), ["0,2"]), 13, 134),
-            (product(delta(2), delta(2)), square, 400, 41108),
+            (product(delta(2), delta(2)), landmark["square"], 400, 41108),
             (boundary_delta(3), horn(2, 1), 9, 138),
+            (product(delta(2), delta(1)), landmark["lurie-q3"], 8, 42),
+            (product(delta(2), delta(1)), landmark["triangle/boundary"], 16, 384),
+            (product(delta(1), delta(2)), landmark["tetra/long-edge"], 148, 5744),
         ]
         for domain, target, count, budget in cases:
             assert count_simplicial_maps(domain, target, node_budget=budget) == count
             with pytest.raises(OracleBudgetExceeded):
                 count_simplicial_maps(domain, target, node_budget=budget - 1)
+
+    def test_each_pullback_of_a_cell_goes_through_apply_map_once(self, apply_map_calls):
+        # every table entry is phi^*(eta^*c) = (eta o phi)^*c, so a call
+        # computes one apply_map per distinct (cell name, values) it reads
+        p, n = 2, 1
+        domain = product(delta(p), delta(n))
+        collapses = {fs.epi for c in domain.cells for fs in domain.faces[c]}
+        entries = calls = 0
+        for entry in corpus():
+            target = entry.space
+            read = []
+            for epi in collapses:
+                for z in target.simplices(epi.target):
+                    read.append((z.generator.name, tuple(z.epi.values[t] for t in epi.values)))
+            for d in {c.dim for c in domain.cells} - {0}:
+                for z in target.simplices(d):
+                    v = z.epi.values
+                    read += [(z.generator.name, v[:i] + v[i + 1:]) for i in range(d + 1)]
+            apply_map_calls.clear()
+            count = count_simplicial_maps(domain, target)
+            assert len(apply_map_calls) == len(set(read)), entry.name
+            fresh = count_simplicial_maps(product(delta(p), delta(n)), target)
+            assert count == fresh, entry.name
+            entries, calls = entries + len(read), calls + len(set(read))
+        # over these targets the memo saves more than half of the table work
+        assert 2 * calls < entries
 
     def test_budget_exhaustion(self):
         with pytest.raises(OracleBudgetExceeded):

@@ -114,6 +114,12 @@ MUTANTS = {
         "True",
         "the shape tables keep a shape of any size",
     ),
+    "oracle-pullback-key-drops-cell": (
+        "oracle.py",
+        "key = (z.generator.name, tuple([v[t] for t in phi.values]))",
+        "key = tuple([v[t] for t in phi.values])",
+        "the oracle's pullback memo keys on values alone, so two cells' pullbacks collide",
+    ),
 }
 
 
